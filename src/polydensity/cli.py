@@ -8,8 +8,8 @@ Subcommands:
   verify     full experiment: counts vs predictions, emitted as a report
   report     re-emit a saved JSON report as csv or plot-data
 
-Exit codes: 0 success, 2 hypothesis gate failed, 3 budget abort (partial
-results), 4 configuration error.
+Exit codes: 0 success, 2 hypothesis gate failed, 3 partial results (budget
+abort, undecided values or an unconverged integral), 4 configuration error.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 trigonometric polynomials S, W, Q of the circle-method identities.
 
 Sums over residue space go through a value histogram: the residues of f over
-(Z/qZ)^n are tallied once, after which every character sum against f costs
-O(q) multiplications against a precomputed table of q-th roots of unity.
+(Z/qZ)^n are tallied once (see ``localcounts.residue_histogram``), after
+which one FFT of length q gives S_{a,q} for every a at once.
 The square-free weights g(q, d) and G(q) are exact rationals throughout.
 """
 
@@ -12,40 +12,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .counting import BudgetExceededError, primes_in_interval, squarefree_table
 from .intervals import value_range
+from .localcounts import residue_histogram
 from .poly import Box, MultiPoly, PolynomialError
 
 
-def _value_histogram(f: MultiPoly, q: int, budget: int) -> np.ndarray:
-    """Counts of each residue class of f over (Z/qZ)^n, length q."""
-    n = f.n_vars
-    if q**n > budget:
-        raise BudgetExceededError(f"{q}^{n} exceeds budget {budget}")
-    hist = np.zeros(q, dtype=np.int64)
-    rest_axes = [
-        np.arange(q, dtype=np.int64).reshape((1,) * i + (q,) + (1,) * (n - 1 - i))
-        for i in range(1, n)
-    ]
-    chunk_rows = max(1, (1 << 21) // max(1, q ** (n - 1)))
-    for start in range(0, q, chunk_rows):
-        stop = min(q, start + chunk_rows)
-        first = np.arange(start, stop, dtype=np.int64).reshape(
-            (-1,) + (1,) * (n - 1)
-        )
-        vals = f.evaluate_array([first] + rest_axes, modulus=q)
-        hist += np.bincount(vals.ravel(), minlength=q)
-    return hist
+def _spectrum(hist: np.ndarray) -> np.ndarray:
+    """S_{a,q} for a = 0..q-1 from the value histogram of f mod q.
 
-
-@lru_cache(maxsize=64)
-def _root_table(q: int) -> np.ndarray:
-    """exp(2 pi i k / q) for k = 0..q-1."""
-    return np.exp(2j * np.pi * np.arange(q) / q)
+    fft(hist)[a] = sum_c hist[c] e(-a c / q) = conj(S_{a,q}) for a real
+    histogram.
+    """
+    return np.conj(np.fft.fft(hist))
 
 
 def complete_exp_sum(
@@ -58,10 +40,7 @@ def complete_exp_sum(
         return complex(1.0)
     if math.gcd(a, q) != 1:
         raise ValueError(f"gcd({a}, {q}) != 1")
-    hist = _value_histogram(f, q, budget)
-    roots = _root_table(q)
-    idx = (a % q) * np.arange(q) % q
-    return complex(np.sum(hist * roots[idx]))
+    return complex(_spectrum(residue_histogram(f, q, budget))[a % q])
 
 
 @dataclass
@@ -75,14 +54,8 @@ class ExpSumTable:
     def build(cls, f: MultiPoly, q: int, budget: int = 10**8) -> "ExpSumTable":
         if q == 1:
             return cls(1, {0: complex(1.0)})
-        hist = _value_histogram(f, q, budget)
-        roots = _root_table(q)
-        ks = np.arange(q)
-        values = {}
-        for a in range(q):
-            if math.gcd(a, q) == 1:
-                values[a] = complex(np.sum(hist * roots[a * ks % q]))
-        return cls(q, values)
+        spectrum = _spectrum(residue_histogram(f, q, budget))
+        return cls(q, {a: complex(spectrum[a]) for a in _coprime_residues(q)})
 
     def csv_rows(self) -> list[list[str]]:
         rows = [["q", "a", "re", "im"]]
@@ -99,11 +72,12 @@ def t_f(f: MultiPoly, q: int, budget: int = 10**8) -> float:
     n = f.n_vars
     if q**n * _phi(q) > budget * 8:
         raise BudgetExceededError("T_f budget exceeded")
-    hist = _value_histogram(f, q, budget)
-    # fft(hist)[a] = sum_c hist[c] e(-2 pi i a c / q) = conj(S_{a,q})
-    spectrum = np.fft.fft(hist)
-    coprime = np.array([a for a in range(q) if math.gcd(a, q) == 1])
-    return float(np.sum(np.abs(spectrum[coprime]))) / q**n
+    spectrum = _spectrum(residue_histogram(f, q, budget))
+    return float(np.sum(np.abs(spectrum[_coprime_residues(q)]))) / q**n
+
+
+def _coprime_residues(q: int) -> list[int]:
+    return [a for a in range(q) if math.gcd(a, q) == 1]
 
 
 def _phi(q: int) -> int:
@@ -195,8 +169,7 @@ def big_g_from_definition(q: int) -> Fraction:
 
 def big_g(q: int) -> Fraction:
     """G(q) via multiplicativity: G(p) = G(p^2) = -p^{-2} (1 - p^{-2})^{-1},
-    zero on non-cube-free q.  Cross-checked against the defining sum for
-    q <= 10^4."""
+    zero on non-cube-free q; equal to :func:`big_g_from_definition`."""
     if q < 1:
         raise ValueError("q must be positive")
     if q == 1:
@@ -207,8 +180,6 @@ def big_g(q: int) -> Fraction:
             value = Fraction(0)
             break
         value *= -Fraction(1, p * p) / (1 - Fraction(1, p * p))
-    if q <= 10**4:
-        assert value == big_g_from_definition(q), f"G({q}) route mismatch"
     return value
 
 
@@ -331,7 +302,7 @@ def orthogonality_count(
 
     With N exceeding every frequency, discrete orthogonality of e(.) makes
     the Riemann sum exact; the result is rounded to the nearest integer and
-    the residual is asserted below 1e-6.
+    a residual of 1e-6 or more raises ArithmeticError.
     """
     values = _lattice_values(f, box, P, budget)
     if len(values) == 0:
@@ -353,7 +324,8 @@ def orthogonality_count(
     total = np.sum(s_spec * np.conj(w_spec)) / n_grid
     count = int(round(total.real))
     residual = abs(total - count)
-    assert residual < 1e-6, f"orthogonality residual {residual}"
+    if not residual < 1e-6:
+        raise ArithmeticError(f"orthogonality residual {residual}")
     return count
 
 
@@ -362,20 +334,18 @@ def observatory_check(
 ) -> tuple[float, int]:
     """Both sides of sum_{a in (Z/pZ)*} S_{a,p} = -p^n + p * N_p.
 
-    Returns (lhs real part, rhs); the imaginary part of the lhs and the
-    lhs-rhs gap are asserted below 1e-6 * p^n.
+    Returns (lhs real part, rhs); raises ArithmeticError unless the
+    imaginary part of the lhs and the lhs-rhs gap are below 1e-6 * p^n.
     """
     n = f.n_vars
-    hist = _value_histogram(f, p, budget)
-    roots = _root_table(p)
-    ks = np.arange(p)
-    lhs = 0j
-    for a in range(1, p):
-        lhs += np.sum(hist * roots[a * ks % p])
+    hist = residue_histogram(f, p, budget)
+    lhs = complex(np.sum(_spectrum(hist)[1:]))
     rhs = -(p**n) + p * int(hist[0])
     tol = 1e-6 * p**n
-    assert abs(lhs.imag) < tol, f"imaginary residue {lhs.imag}"
-    assert abs(lhs.real - rhs) < tol, f"observatory mismatch {lhs.real} vs {rhs}"
+    if not abs(lhs.imag) < tol:
+        raise ArithmeticError(f"imaginary residue {lhs.imag}")
+    if not abs(lhs.real - rhs) < tol:
+        raise ArithmeticError(f"observatory mismatch {lhs.real} vs {rhs}")
     return float(lhs.real), rhs
 
 

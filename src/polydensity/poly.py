@@ -217,6 +217,35 @@ class MultiPoly:
     def gradient(self) -> list["MultiPoly | None"]:
         return [self.partial(i) for i in range(self.n_vars)]
 
+    def variable_blocks(self) -> tuple[int, list[tuple[tuple[int, ...], "MultiPoly"]]]:
+        """Split ``f = c + sum_j g_j(x_{A_j})`` over disjoint variable sets.
+
+        The blocks ``A_j`` are the connected components of the relation "two
+        variables share a monomial".  Returns the constant ``c`` and, per
+        block in order of its first variable, ``(A_j, g_j)`` with ``g_j`` a
+        polynomial in ``len(A_j)`` variables (``x_{A_j[k]}`` becomes
+        ``x_{k+1}``).  Variables in no monomial belong to no block.
+        """
+        constant = 0
+        merged: list[tuple[set[int], dict]] = []
+        for exps, coeff in self._terms.items():
+            used = {i for i, e in enumerate(exps) if e}
+            if not used:
+                constant = coeff
+                continue
+            terms = {exps: coeff}
+            for block in [b for b in merged if b[0] & used]:
+                merged.remove(block)
+                used |= block[0]
+                terms.update(block[1])
+            merged.append((used, terms))
+        blocks = []
+        for used, terms in sorted(merged, key=lambda b: min(b[0])):
+            variables = tuple(sorted(used))
+            projected = {tuple(e[i] for i in variables): c for e, c in terms.items()}
+            blocks.append((variables, MultiPoly(len(variables), projected)))
+        return constant, blocks
+
     # -- text and JSON --
 
     def to_string(self) -> str:
@@ -296,6 +325,42 @@ def _mul(a: dict, b: dict) -> dict:
             key = tuple(x + y for x, y in zip(ea, eb))
             out[key] = out.get(key, 0) + ca * cb
     return {e: c for e, c in out.items() if c != 0}
+
+
+#: most grid points in one chunk of :func:`residue_grid`
+RESIDUE_CHUNK = 1 << 21
+
+
+def residue_grid(q: int, k: int):
+    """Chunks of the grid ``(Z/qZ)^k`` in C order, as ``(start, coords)``.
+
+    ``coords`` are ``k`` broadcastable int64 arrays; their broadcast lists
+    the grid points with linear indices ``start, start + 1, ...`` in C
+    order.  The trailing axes stay whole ``arange(q)`` axes, so per-axis
+    work such as powers is done once per axis; the leading axes share one
+    axis that runs over their combined index, so a chunk never holds more
+    than ``RESIDUE_CHUNK`` points.
+    """
+    trailing = 0
+    while trailing < k - 1 and q ** (trailing + 1) <= RESIDUE_CHUNK:
+        trailing += 1
+    leading = k - trailing
+    block = q**trailing
+    rows = RESIDUE_CHUNK // block
+    tail = [
+        np.arange(q, dtype=np.int64).reshape(
+            (1,) * (1 + i) + (q,) + (1,) * (trailing - 1 - i)
+        )
+        for i in range(trailing)
+    ]
+    for lo in range(0, q**leading, rows):
+        index = np.arange(lo, min(q**leading, lo + rows), dtype=np.int64)
+        index = index.reshape((-1,) + (1,) * trailing)
+        head = []
+        for _ in range(leading):
+            head.append(index % q)
+            index = index // q
+        yield lo * block, head[::-1] + tail
 
 
 def _pow_mod_array(x: np.ndarray, e: int, modulus: int) -> np.ndarray:
@@ -571,19 +636,14 @@ def singular_dimension_estimate(
 
 
 def _count_gradient_zeros(grad: list, p: int, n: int) -> int:
-    axes = [
-        np.arange(p, dtype=np.int64).reshape((1,) * i + (p,) + (1,) * (n - 1 - i))
-        for i in range(n)
-    ]
-    mask = np.ones((p,) * n, dtype=bool)
-    for g in grad:
-        if g is None:
-            continue
-        vals = g.evaluate_array(
-            [np.broadcast_to(a, (p,) * n) for a in axes], modulus=p
-        )
-        mask &= vals == 0
-    return int(mask.sum())
+    grad = [g for g in grad if g is not None]
+    count = 0
+    for _, coords in residue_grid(p, n):
+        mask = grad[0].evaluate_array(coords, modulus=p) == 0
+        for g in grad[1:]:
+            mask &= g.evaluate_array(coords, modulus=p) == 0
+        count += int(mask.sum())
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -289,8 +289,10 @@ def run_experiment(config: dict) -> ExperimentReport:
     """Full pipeline: hypothesis gate, singular series, lattice counts.
 
     Budget failures abort individual rows (recorded in ``row_errors`` and
-    flagged ``partial``), never the whole run.  A failing hypothesis gate
-    yields a report with no rows unless ``force`` is set.
+    flagged ``partial``), never the whole run.  A row whose count left
+    values undecided, or whose Li_f quadrature did not converge, is kept,
+    recorded in ``row_errors`` and flagged ``partial`` as well.  A failing
+    hypothesis gate yields a report with no rows unless ``force`` is set.
     """
     start = time.monotonic()
     cfg = parse_config(config)
@@ -344,15 +346,23 @@ def run_experiment(config: dict) -> ExperimentReport:
                 budget=cfg["budget"],
                 threads=cfg["threads"],
             )
-            if mode == "prime":
-                li = li_f(f, box, P, tol=li_tol)
-                li_value, li_error = li.value, li.abs_error_estimate
-            elif mode == "joint":
-                li = li_joint(polys, box, P, tol=li_tol)
-                li_value, li_error = li.value, li.abs_error_estimate
-            else:
+            if counted.partial or counted.unknown_values:
+                report.partial = True
+                report.row_errors.append(
+                    f"P={P}: {counted.unknown_values} values undecided"
+                )
+            if mode == "squarefree":
                 # square-free density is per lattice point, not per log
                 li_value, li_error = float(counted.lattice_points), 0.0
+            else:
+                if mode == "prime":
+                    li = li_f(f, box, P, tol=li_tol)
+                else:
+                    li = li_joint(polys, box, P, tol=li_tol)
+                li_value, li_error = li.value, li.abs_error_estimate
+                if not li.converged:
+                    report.partial = True
+                    report.row_errors.append(f"P={P}: Li_f did not converge")
             predicted = euler.value * li_value
             ratio = counted.count / predicted if predicted else math.inf
             report.rows.append(

@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import polydensity
+import polydensity.verify
 from polydensity.cli import main
 
 
@@ -138,6 +143,32 @@ class TestVerify:
     def test_bad_format(self, write_config):
         assert main(["verify", write_config(), "--format", "xml"]) == 4
 
+    def test_undecided_values_exit(self, write_config, monkeypatch, capsys):
+        real = polydensity.verify.count_values
+
+        def undecided(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result, partial=True, unknown_values=2)
+
+        monkeypatch.setattr(polydensity.verify, "count_values", undecided)
+        assert main(["verify", write_config(P_grid=[20])]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["partial"] is True
+        assert doc["row_errors"] == ["P=20: 2 values undecided"]
+
+    def test_unconverged_li_exit(self, write_config, monkeypatch, capsys):
+        real = polydensity.verify.li_f
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(polydensity.verify, "li_f", unconverged)
+        cfg = write_config(mode="prime", force=True, P_grid=[20])
+        assert main(["verify", cfg]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["partial"] is True
+        assert doc["row_errors"] == ["P=20: Li_f did not converge"]
+
 
 class TestReport:
     def test_reemit_csv(self, write_config, tmp_path, capsys):
@@ -181,10 +212,14 @@ class TestTopLevel:
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
+        # the child imports the same checkout as this test process
+        src = str(Path(polydensity.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "polydensity.cli", "check", str(path)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
         assert "pass" in proc.stdout

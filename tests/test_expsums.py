@@ -152,7 +152,7 @@ class TestGFunctions:
             assert big_g(q1 * q2) == big_g(q1) * big_g(q2)
 
     def test_defining_sum_agrees_exactly(self):
-        for q in range(1, 500):
+        for q in range(1, 2001):
             assert big_g(q) == big_g_from_definition(q)
 
     def test_dirichlet_series_euler_product(self):
@@ -243,6 +243,16 @@ class TestIdentityChecks:
         for p in (2, 3, 5, 7, 11, 13):
             lhs, rhs = observatory_check(f, p)
             assert abs(lhs - rhs) < 1e-6 * p**2
+
+    def test_observatory_mismatch_raises(self, monkeypatch):
+        import polydensity.expsums
+
+        monkeypatch.setattr(
+            polydensity.expsums, "_spectrum", lambda hist: np.zeros(len(hist))
+        )
+        f = parse_polynomial("x1^2 + x2^2", 2)
+        with pytest.raises(ArithmeticError):
+            observatory_check(f, 5)
 
     def test_observatory_counts(self):
         from polydensity import count_zeros_mod

@@ -13,6 +13,8 @@ from polydensity import (
     joint_euler_factor,
     parse_polynomial,
     prime_euler_factor,
+    primes_upto,
+    residue_histogram,
     squarefree_euler_factor,
 )
 from polydensity.counting import BudgetExceededError
@@ -31,6 +33,23 @@ def brute_zeros(f, m):
         if f.evaluate_mod(coords, m) == 0:
             count += 1
     return count
+
+
+FOUR_SQUARES = "x1^2 + x2^2 + x3^2 + x4^2"
+
+
+class TestResidueHistogram:
+    def test_budget_counts_full_grid(self):
+        # separable, so only 3 * 101 residues would be swept
+        f = parse_polynomial("x1^2 + x2^2 + x3^2", 3)
+        with pytest.raises(BudgetExceededError):
+            residue_histogram(f, 101, budget=10**4)
+
+    def test_four_squares_pinned(self):
+        f = parse_polynomial(FOUR_SQUARES, 4)
+        assert count_zeros_mod(f, 2) == 8
+        for p in map(int, primes_upto(47)[1:]):
+            assert count_zeros_mod(f, p) == p**3 + p**2 - p
 
 
 class TestCountZerosMod:
@@ -175,6 +194,13 @@ class TestEulerProduct:
         small = euler_product(g, "squarefree-density", cutoff=30)
         larger = euler_product(g, "squarefree-density", cutoff=100)
         assert abs(larger.value - small.value) <= small.tail_bound
+
+    def test_four_squares_exact_value_pinned(self):
+        f = parse_polynomial(FOUR_SQUARES, 4)
+        est = euler_product(f, "prime-density", 48, sigma=0)
+        assert est.value_exact == Fraction(
+            131936036612513382531072000, 162139622078364740433577733
+        )
 
     def test_exact_value_tracks_float(self):
         f = parse_polynomial("x1^2 + x2^2", 2)

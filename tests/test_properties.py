@@ -1,18 +1,21 @@
 """Randomized invariant checks for the algebraic core."""
 
+import itertools
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polydensity import (
+    ExpSumTable,
     MultiPoly,
     complete_exp_sum,
     count_zeros_mod,
     is_prime_certified,
     is_squarefree,
     parse_polynomial,
+    residue_histogram,
 )
 
 
@@ -30,6 +33,30 @@ def polynomials(draw, max_vars=3, max_degree=4, max_terms=5, max_coeff=20):
         )
         terms[exps] = coeff
     return MultiPoly(n, terms)
+
+
+@st.composite
+def separable_polynomials(draw):
+    """g1 + g2 in disjoint sets of variables, interleaved in random order."""
+    g1 = draw(polynomials(max_vars=2, max_degree=3))
+    g2 = draw(polynomials(max_vars=3 - g1.n_vars, max_degree=3))
+    n = g1.n_vars + g2.n_vars
+    order = draw(st.permutations(range(n)))
+    shifted = [(e + (0,) * g2.n_vars, c) for e, c in g1.terms.items()]
+    shifted += [((0,) * g1.n_vars + e, c) for e, c in g2.terms.items()]
+    terms: dict = {}
+    for exps, coeff in shifted:
+        key = tuple(exps[j] for j in order)
+        terms[key] = terms.get(key, 0) + coeff
+    assume(any(terms.values()))
+    return MultiPoly(n, terms)
+
+
+def brute_histogram(f, q):
+    values = [
+        f.evaluate_mod(x, q) for x in itertools.product(range(q), repeat=f.n_vars)
+    ]
+    return np.bincount(values, minlength=q)
 
 
 small_primes = st.sampled_from([2, 3, 5, 7, 11])
@@ -50,11 +77,11 @@ class TestPolynomialInvariants:
         assert h.evaluate_int(x) == v * v
 
     @given(polynomials(), st.lists(st.integers(-50, 50), min_size=3, max_size=3))
+    @example(parse_polynomial("-17*x1^3*x2^4*x3^4-1", 3), [25, 29, 15])
     def test_array_matches_integer_evaluation(self, f, point):
         x = point[: f.n_vars]
-        exact = f.evaluate_int(x)
-        grids = [np.array([float(c)]) for c in x]
-        assert f.evaluate_array(grids)[0] == float(exact)
+        grids = [np.array([c], dtype=object) for c in x]
+        assert f.evaluate_array(grids)[0] == f.evaluate_int(x)
 
     @given(polynomials(), small_primes, st.lists(st.integers(0, 200), min_size=3, max_size=3))
     def test_modular_evaluation_consistent(self, f, p, point):
@@ -105,6 +132,23 @@ class TestLocalCountInvariants:
         assert n_p2 <= n_p * p**f.n_vars
 
 
+    def test_every_modulus_matches_brute_force(self):
+        f = parse_polynomial("x1*x3^2 + 2x2^3 - 1", 3)
+        assert [v for v, _ in f.variable_blocks()[1]] == [(0, 2), (1,)]
+        for q in range(2, 31):
+            assert np.array_equal(residue_histogram(f, q), brute_histogram(f, q))
+
+    @settings(deadline=None, max_examples=40)
+    @given(polynomials(), st.integers(2, 30))
+    def test_residue_histogram_matches_brute_force(self, f, q):
+        assert np.array_equal(residue_histogram(f, q), brute_histogram(f, q))
+
+    @settings(deadline=None, max_examples=40)
+    @given(separable_polynomials(), st.integers(2, 30))
+    def test_separable_histogram_matches_brute_force(self, f, q):
+        assert np.array_equal(residue_histogram(f, q), brute_histogram(f, q))
+
+
 class TestExpSumInvariants:
     @settings(deadline=None, max_examples=40)
     @given(polynomials(max_vars=2, max_degree=3), st.integers(1, 20))
@@ -112,6 +156,22 @@ class TestExpSumInvariants:
         for a in range(q):
             if math.gcd(a, q) == 1:
                 assert abs(complete_exp_sum(f, a, q)) <= q**f.n_vars + 1e-6
+
+
+    @settings(deadline=None, max_examples=25)
+    @given(polynomials(max_vars=2, max_degree=3))
+    def test_spectrum_matches_defining_sum(self, f):
+        for q in range(1, 31):
+            values = np.array(
+                [
+                    f.evaluate_mod(x, q)
+                    for x in itertools.product(range(q), repeat=f.n_vars)
+                ]
+            )
+            table = ExpSumTable.build(f, q)
+            for a, s_aq in table.values.items():
+                exact = np.sum(np.exp(2j * math.pi * a * values / q))
+                assert abs(s_aq - exact) <= 1e-9 * q**f.n_vars
 
 
 class TestArithmeticInvariants:

@@ -1,9 +1,12 @@
 """Hypothesis gating, experiment orchestration, and report emission."""
 
+import dataclasses
 import json
 import math
 
 import pytest
+
+import polydensity.verify
 
 from polydensity import (
     Box,
@@ -180,6 +183,32 @@ class TestRunExperiment:
         assert [row.P for row in report.rows] == [10]
         assert report.partial
         assert any("10" in e for e in report.row_errors)
+
+    def test_undecided_values_mark_report_partial(self, monkeypatch):
+        real = polydensity.verify.count_values
+
+        def undecided(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result, partial=True, unknown_values=1)
+
+        monkeypatch.setattr(polydensity.verify, "count_values", undecided)
+        report = run_experiment(base_config(P_grid=[20]))
+        assert report.partial is True
+        assert [row.P for row in report.rows] == [20]
+        assert report.row_errors == ["P=20: 1 values undecided"]
+
+    def test_unconverged_li_marks_report_partial(self, monkeypatch):
+        real = polydensity.verify.li_f
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(polydensity.verify, "li_f", unconverged)
+        config = base_config(mode="prime", force=True, P_grid=[20])
+        report = run_experiment(config)
+        assert report.partial is True
+        assert [row.P for row in report.rows] == [20]
+        assert report.row_errors == ["P=20: Li_f did not converge"]
 
     def test_fixed_divisor_prime_count_bound(self):
         # with a fixed divisor p, only values +-p can be prime
