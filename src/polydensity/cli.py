@@ -18,16 +18,16 @@ import argparse
 import json
 import sys
 
-from .counting import BudgetExceededError, count_values
+from .counting import BudgetExceededError
 from .expsums import ExpSumTable, big_g, t_f
-from .integrals import li_f, li_joint
-from .localcounts import euler_product
 from .poly import PolynomialError
 from .reports import emit_report, report_from_dict, to_csv, to_json, to_plot_data
 from .verify import (
-    _EULER_MODE,
     ConfigError,
     check_hypotheses,
+    count_for,
+    euler_for,
+    li_for,
     parse_config,
     run_experiment,
 )
@@ -132,28 +132,24 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _cmd_densities(args) -> int:
     cfg = parse_config(_load_config(args.config))
-    polys, box, mode = cfg["polys"], cfg["box"], cfg["mode"]
-    report = check_hypotheses(polys, box, mode, cfg["sigma_override"])
+    report = check_hypotheses(
+        cfg["polys"], cfg["box"], cfg["mode"], cfg["sigma_override"]
+    )
     if not report.all_passed and not cfg["force"]:
         print("hypothesis checks failed; rerun with force to override", file=sys.stderr)
         return EXIT_GATE
-    euler = euler_product(
-        polys if mode == "joint" else polys[0],
-        _EULER_MODE[mode],
-        cutoff=cfg["euler_cutoff"],
-        sigma=report.sigma_used,
-        budget=cfg["budget"],
-        force=cfg["force"],
-    )
-    li_tol = float(cfg["tolerances"].get("li_tol", 1e-8))
+    try:
+        euler = euler_for(cfg, report.sigma_used)
+    except BudgetExceededError as exc:
+        print(f"euler product: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     rows = []
+    code = EXIT_OK
     for P in cfg["P_grid"]:
-        if mode == "prime":
-            li_value = li_f(polys[0], box, P, tol=li_tol).value
-        elif mode == "joint":
-            li_value = li_joint(polys, box, P, tol=li_tol).value
-        else:
-            li_value = float(box.lattice_point_count(P))
+        li_value, _, unconverged = li_for(cfg, P)
+        if unconverged:
+            print(unconverged, file=sys.stderr)
+            code = EXIT_BUDGET
         rows.append(
             [P, repr(euler.value), repr(euler.tail_bound), repr(li_value),
              repr(euler.value * li_value)]
@@ -162,7 +158,7 @@ def _cmd_densities(args) -> int:
         _csv_text(["P", "euler_value", "euler_tail", "li_value", "predicted"], rows),
         args.out,
     )
-    return EXIT_OK
+    return code
 
 
 def _cmd_expsum(args) -> int:
@@ -184,22 +180,18 @@ def _cmd_expsum(args) -> int:
 
 def _cmd_count(args) -> int:
     cfg = parse_config(_load_config(args.config))
-    polys, mode = cfg["polys"], cfg["mode"]
     rows = []
     code = EXIT_OK
     for P in cfg["P_grid"]:
         try:
-            counted = count_values(
-                polys if mode == "joint" else polys[0],
-                cfg["box"],
-                P,
-                mode=mode,
-                budget=cfg["budget"],
-                threads=cfg["threads"],
-            )
-            rows.append([P, counted.lattice_points, counted.count])
+            counted, undecided = count_for(cfg, P)
         except BudgetExceededError as exc:
             print(f"P={P}: budget exceeded: {exc}", file=sys.stderr)
+            code = EXIT_BUDGET
+            continue
+        rows.append([P, counted.lattice_points, counted.count])
+        if undecided:
+            print(undecided, file=sys.stderr)
             code = EXIT_BUDGET
     _write(_csv_text(["P", "lattice_points", "count"], rows), args.out)
     return code

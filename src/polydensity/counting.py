@@ -1,11 +1,15 @@
 """Exact counting of prime, square-free, and joint prime polynomial values.
 
-The enumeration of lattice points is vectorised with numpy and partitioned
-into slabs along the first coordinate; slab results are merged in slab order
-so that single-threaded and multi-threaded runs are bit-identical.  A fast
-int64 path is used whenever an a-priori bound on |f| over the scaled box
-certifies that no overflow can occur, and membership tests go through sieve
-tables whenever the value range fits in memory.
+The enumeration of lattice points is vectorised with numpy and cut into
+slabs of at most ``poly.RESIDUE_CHUNK`` points along the first coordinate,
+whatever the thread count, so single-threaded and multi-threaded runs sum
+the same slabs.  A fast int64 path is used whenever an a-priori bound on |f|
+over the scaled box certifies that no overflow can occur.  Membership tests
+then read a table from one windowed sieve (``_sieve_bools``), sized to the
+value range [min f, max f] (of |f| for square-freeness) certified by
+interval arithmetic over the lattice box; a window too wide for memory falls
+back to testing each distinct value.  The same sieve gives ``primes_upto``,
+``primes_in_interval`` and ``squarefree_table``.
 """
 
 from __future__ import annotations
@@ -15,12 +19,13 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
-from .poly import Box, MultiPoly, PolynomialError
+from .intervals import interval_eval
+from .poly import RESIDUE_CHUNK, Box, MultiPoly, PolynomialError
 
 
 class BudgetExceededError(RuntimeError):
@@ -87,53 +92,71 @@ def is_prime(m: int) -> bool:
     return is_prime_certified(m)[0]
 
 
-@lru_cache(maxsize=8)
-def _sieve_bools(limit: int) -> np.ndarray:
-    """Boolean primality table for 0..limit-1."""
-    table = np.ones(limit, dtype=bool)
-    table[:2] = False
-    for p in range(2, int(limit**0.5) + 1):
-        if table[p]:
-            table[p * p :: p] = False
+def _cross_out(lo: int, hi: int, primes: np.ndarray, squarefree: bool) -> np.ndarray:
+    """Entries of [lo, hi] that survive crossing out, for every base prime p,
+    the multiples of p^2 (``squarefree``) or the multiples of p other than p.
+
+    A step longer than the window hits it at most once, so those primes are
+    crossed out in one indexed store; the loop runs over the others only.
+    """
+    table = np.ones(max(0, hi - lo + 1), dtype=bool)
+    steps = primes * primes if squarefree else primes
+    firsts = lo + (-lo) % steps
+    if squarefree:
+        if lo <= 0 <= hi:
+            table[-lo] = False
+    else:
+        firsts = np.maximum(firsts, steps * steps)
+        table[: max(0, min(2 - lo, len(table)))] = False
+    loop = steps <= len(table)
+    for first, step in zip(firsts[loop].tolist(), steps[loop].tolist()):
+        table[first - lo :: step] = False
+    once = firsts[~loop]
+    table[once[once <= hi] - lo] = False
     return table
 
 
+def _sieve_bools(lo: int, hi: int, squarefree: bool = False) -> np.ndarray:
+    """Membership table of the window [lo, hi], by segmented sieve.
+
+    Entry ``m - lo`` is True iff m is prime or, with ``squarefree``, iff m is
+    square-free (m and -m agree; 0 is not).  The base primes up to
+    sqrt(max |m|) are sieved the same way over [0, sqrt(max |m|)], whose own
+    base primes come from [0, its square root], and so on down to [0, 3].
+    """
+    lo, hi = int(lo), int(hi)
+    roots = [math.isqrt(max(abs(lo), abs(hi)))]
+    while roots[-1] > 3:
+        roots.append(math.isqrt(roots[-1]))
+    primes = np.empty(0, dtype=np.int64)
+    for root in reversed(roots):
+        primes = np.flatnonzero(_cross_out(0, root, primes, False))
+    return _cross_out(lo, hi, primes, squarefree)
+
+
 def primes_upto(n: int) -> np.ndarray:
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    return np.nonzero(_sieve_bools(n + 1))[0].astype(np.int64)
+    """Primes in [0, n], ascending."""
+    return np.flatnonzero(_sieve_bools(0, n))
 
 
 def primes_in_interval(lo: int, hi: int) -> np.ndarray:
     """Primes in [lo, hi], ascending, by segmented sieve."""
-    lo, hi = int(lo), int(hi)
-    if hi < lo:
-        return np.empty(0, dtype=np.int64)
+    lo, hi = max(int(lo), 0), int(hi)
     if hi - lo > 10**9:
         raise BudgetExceededError("interval longer than 1e9")
-    lo = max(lo, 2)
-    if hi < 2:
-        return np.empty(0, dtype=np.int64)
-    base = primes_upto(int(math.isqrt(hi)))
-    seg = np.ones(hi - lo + 1, dtype=bool)
-    for p in base:
-        p = int(p)
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        seg[start - lo :: p] = False
-    if lo <= int(math.isqrt(hi)):
-        for p in base:
-            if lo <= p <= hi:
-                seg[int(p) - lo] = True
-    return lo + np.nonzero(seg)[0].astype(np.int64)
+    return lo + np.flatnonzero(_sieve_bools(lo, hi))
 
 
 def squarefree_table(limit: int) -> np.ndarray:
     """Boolean table: index m is True iff m is square-free (0 is not)."""
-    table = np.ones(limit, dtype=bool)
-    table[0] = False
-    for d in range(2, int(limit**0.5) + 1):
-        table[d * d :: d * d] = False
-    return table
+    return _sieve_bools(0, limit - 1, squarefree=True)
+
+
+@cache
+def _trial_primes() -> tuple[int, ...]:
+    """The primes below 1e6 that ``is_squarefree`` divides by.  The list is
+    fixed, so it is built once per process."""
+    return tuple(primes_upto(_TRIAL_DIVISION_LIMIT).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +214,7 @@ def is_squarefree(m: int, max_rho_iter: int = 10**6) -> bool:
         return False
     if m == 1:
         return True
-    for p in map(int, primes_upto(min(_TRIAL_DIVISION_LIMIT, math.isqrt(m) + 1))):
+    for p in _trial_primes():
         if p * p > m:
             break
         if m % p == 0:
@@ -235,7 +258,8 @@ def is_squarefree(m: int, max_rho_iter: int = 10**6) -> bool:
 # Lattice counting
 # ---------------------------------------------------------------------------
 
-#: largest value range for which membership sieves are built in memory
+#: largest window (and base-prime range) for which membership tables are
+#: sieved in memory; wider value ranges are tested value by value
 TABLE_LIMIT = 2 * 10**8
 
 #: int64 is safe when |f| provably stays below this
@@ -267,15 +291,28 @@ def _slab_coords(
     return coords
 
 
+def _value_window(
+    f: MultiPoly, ranges: list[range], squarefree: bool
+) -> tuple[int, int]:
+    """Certified integer bounds [lo, hi] of f, or of |f| when ``squarefree``,
+    over the integer box spanned by ``ranges``."""
+    lo, hi = interval_eval(f, [(r.start, r.stop - 1) for r in ranges])
+    lo, hi = math.floor(lo), math.ceil(hi)
+    if squarefree:
+        lo, hi = max(lo, -hi, 0), max(hi, -lo)
+    return lo, hi
+
+
 def _count_slab(
     polys: list[MultiPoly],
     ranges: list[range],
     first_slice: slice,
     mode: str,
-    tables: list[np.ndarray] | None,
+    tables: list[tuple[int, np.ndarray]] | None,
     int64_safe: bool,
 ) -> tuple[int, int]:
-    """(count, unknown) over one slab."""
+    """(count, unknown) over one slab; ``tables`` holds (lo, table) per
+    polynomial, with entry v - lo the verdict on value v."""
     coords = _slab_coords(ranges, first_slice)
     if not int64_safe:
         coords = [c.astype(object) for c in coords]
@@ -287,11 +324,11 @@ def _count_slab(
         if mode == "squarefree":
             vals = abs(vals)
         if tables is not None:
-            v = vals.astype(np.int64)
-            inside = (v >= 0) & (v < len(tables[idx]))
-            hit = np.zeros(shape, dtype=bool)
-            hit[inside] = tables[idx][v[inside]]
-            ok &= hit
+            lo, table = tables[idx]
+            index = vals - lo
+            if index.min() < 0 or index.max() >= len(table):
+                raise ArithmeticError("a lattice value lies outside its certified window")
+            ok &= table[index]
         else:
             uniq, inverse = np.unique(np.asarray(vals).ravel(), return_inverse=True)
             verdicts = np.zeros(len(uniq), dtype=bool)
@@ -343,21 +380,23 @@ def count_values(
         )
 
     radius = [max(abs(r.start), abs(r.stop - 1)) for r in ranges]
-    bounds = [g.abs_bound(radius) for g in polys]
-    int64_safe = all(b < _INT64_SAFE for b in bounds)
-    tables: list[np.ndarray] | None = None
-    if int64_safe and all(b + 1 <= TABLE_LIMIT for b in bounds):
-        if mode in ("prime", "joint"):
-            limit = max(b + 1 for b in bounds)
-            table = _sieve_bools(max(limit, 3))
-            tables = [table] * len(polys)
-        else:
-            tables = [squarefree_table(bounds[0] + 1)]
+    int64_safe = all(g.abs_bound(radius) < _INT64_SAFE for g in polys)
+    tables: list[tuple[int, np.ndarray]] | None = None
+    if int64_safe:
+        squarefree = mode == "squarefree"
+        windows = [_value_window(g, ranges, squarefree) for g in polys]
+        if all(
+            hi - lo + 1 <= TABLE_LIMIT
+            and math.isqrt(max(abs(lo), abs(hi))) + 1 <= TABLE_LIMIT
+            for lo, hi in windows
+        ):
+            tables = [(lo, _sieve_bools(lo, hi, squarefree)) for lo, hi in windows]
 
+    # slabs of at most RESIDUE_CHUNK points (one first-axis row at least),
+    # whatever the thread count, so that every run sums the same slabs
     n_first = len(ranges[0])
-    n_slabs = max(1, min(threads * 4, n_first)) if threads > 1 else 1
-    edges = np.linspace(0, n_first, n_slabs + 1, dtype=int)
-    slabs = [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if a < b]
+    rows = max(1, RESIDUE_CHUNK // (lattice_points // n_first))
+    slabs = [slice(a, min(a + rows, n_first)) for a in range(0, n_first, rows)]
 
     def work(sl: slice) -> tuple[int, int]:
         return _count_slab(polys, ranges, sl, mode, tables, int64_safe)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import BudgetExceededError, primes_in_interval, squarefree_table
+from .counting import BudgetExceededError, _sieve_bools, primes_in_interval
 from .intervals import value_range
 from .localcounts import residue_histogram
 from .poly import Box, MultiPoly, PolynomialError
@@ -256,13 +256,11 @@ def w_alpha(
 
 
 def q_alpha_interval(lo: int, hi: int, alpha: float, budget: int = 10**9) -> complex:
-    """Q(alpha) over an explicit integer interval of square-free m != 0."""
+    """Q(alpha) over an explicit integer interval of square-free m != 0
+    (m and -m agree); 0 for an interval holding no such m."""
     if hi - lo > budget:
         raise BudgetExceededError("Q-interval too long")
-    ms = np.arange(lo, hi + 1, dtype=np.int64)
-    ms = ms[ms != 0]
-    table = squarefree_table(int(np.abs(ms).max()) + 1)
-    ms = ms[table[np.abs(ms)]]
+    ms = lo + np.flatnonzero(_sieve_bools(lo, hi, squarefree=True))
     return complex(np.sum(np.exp(2j * np.pi * alpha * ms.astype(np.float64))))
 
 
@@ -319,9 +317,12 @@ def orthogonality_count(
     hist_p = np.bincount(primes + shift, minlength=n_grid) if len(primes) else (
         np.zeros(n_grid, dtype=np.int64)
     )
-    s_spec = np.fft.fft(hist_v)
-    w_spec = np.fft.fft(hist_p)
-    total = np.sum(s_spec * np.conj(w_spec)) / n_grid
+    # any length above the largest frequency keeps the identity exact; a
+    # power of two keeps pocketfft off its slow path for large prime factors
+    n_fft = 1 << (n_grid - 1).bit_length()
+    s_spec = np.fft.fft(hist_v, n_fft)
+    w_spec = np.fft.fft(hist_p, n_fft)
+    total = np.vdot(w_spec, s_spec) / n_fft
     count = int(round(total.real))
     residual = abs(total - count)
     if not residual < 1e-6:

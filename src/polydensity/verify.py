@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .counting import BudgetExceededError, count_values
+from .counting import BudgetExceededError, CountResult, count_values
 from .integrals import li_f, li_joint
 from .intervals import CertificationError, PositivityError, certify_above
-from .localcounts import euler_product, fixed_prime_divisors
+from .localcounts import EulerProductEstimate, euler_product, fixed_prime_divisors
 from .poly import (
     Box,
     MultiPoly,
@@ -285,6 +285,52 @@ def parse_config(config: dict) -> dict:
     }
 
 
+def euler_for(cfg: dict, sigma: SigmaEstimate | None) -> EulerProductEstimate:
+    """The truncated singular series of a parsed config."""
+    polys, mode = cfg["polys"], cfg["mode"]
+    return euler_product(
+        polys if mode == "joint" else polys[0],
+        _EULER_MODE[mode],
+        cutoff=cfg["euler_cutoff"],
+        sigma=sigma,
+        budget=cfg["budget"],
+        force=cfg["force"],
+    )
+
+
+def count_for(cfg: dict, P: int) -> tuple[CountResult, str | None]:
+    """The exact lattice count of a parsed config at one P, with the row
+    error it earns when values were left undecided (else None)."""
+    polys, mode = cfg["polys"], cfg["mode"]
+    counted = count_values(
+        polys if mode == "joint" else polys[0],
+        cfg["box"],
+        P,
+        mode=mode,
+        budget=cfg["budget"],
+        threads=cfg["threads"],
+    )
+    if counted.partial or counted.unknown_values:
+        return counted, f"P={P}: {counted.unknown_values} values undecided"
+    return counted, None
+
+
+def li_for(cfg: dict, P: int) -> tuple[float, float, str | None]:
+    """(value, error estimate, row error) of the archimedean factor of a
+    parsed config at one P; the row error says Li_f did not converge."""
+    polys, box, mode = cfg["polys"], cfg["box"], cfg["mode"]
+    if mode == "squarefree":
+        # square-free density is per lattice point, not per log
+        return float(box.lattice_point_count(P)), 0.0, None
+    li_tol = float(cfg["tolerances"].get("li_tol", 1e-8))
+    if mode == "prime":
+        li = li_f(polys[0], box, P, tol=li_tol)
+    else:
+        li = li_joint(polys, box, P, tol=li_tol)
+    error = None if li.converged else f"P={P}: Li_f did not converge"
+    return li.value, li.abs_error_estimate, error
+
+
 def run_experiment(config: dict) -> ExperimentReport:
     """Full pipeline: hypothesis gate, singular series, lattice counts.
 
@@ -296,14 +342,11 @@ def run_experiment(config: dict) -> ExperimentReport:
     """
     start = time.monotonic()
     cfg = parse_config(config)
-    polys = cfg["polys"]
-    box = cfg["box"]
-    mode = cfg["mode"]
-    f = polys[0]
-
-    hypothesis = check_hypotheses(polys, box, mode, cfg["sigma_override"])
+    hypothesis = check_hypotheses(
+        cfg["polys"], cfg["box"], cfg["mode"], cfg["sigma_override"]
+    )
     report = ExperimentReport(
-        mode=mode,
+        mode=cfg["mode"],
         rows=[],
         hypothesis=hypothesis,
         config=dict(config),
@@ -320,49 +363,22 @@ def run_experiment(config: dict) -> ExperimentReport:
     report.heuristic = not hypothesis.all_passed
 
     try:
-        euler = euler_product(
-            polys if mode == "joint" else f,
-            _EULER_MODE[mode],
-            cutoff=cfg["euler_cutoff"],
-            sigma=hypothesis.sigma_used,
-            budget=cfg["budget"],
-            force=cfg["force"],
-        )
+        euler = euler_for(cfg, hypothesis.sigma_used)
     except BudgetExceededError as exc:
         report.partial = True
         report.row_errors.append(f"euler product: {exc}")
         report.metadata["elapsed"] = time.monotonic() - start
         return report
     report.heuristic = report.heuristic or euler.heuristic
-    li_tol = float(cfg["tolerances"].get("li_tol", 1e-8))
 
     for P in cfg["P_grid"]:
         try:
-            counted = count_values(
-                polys if mode == "joint" else f,
-                box,
-                P,
-                mode=mode,
-                budget=cfg["budget"],
-                threads=cfg["threads"],
-            )
-            if counted.partial or counted.unknown_values:
-                report.partial = True
-                report.row_errors.append(
-                    f"P={P}: {counted.unknown_values} values undecided"
-                )
-            if mode == "squarefree":
-                # square-free density is per lattice point, not per log
-                li_value, li_error = float(counted.lattice_points), 0.0
-            else:
-                if mode == "prime":
-                    li = li_f(f, box, P, tol=li_tol)
-                else:
-                    li = li_joint(polys, box, P, tol=li_tol)
-                li_value, li_error = li.value, li.abs_error_estimate
-                if not li.converged:
+            counted, undecided = count_for(cfg, P)
+            li_value, li_error, unconverged = li_for(cfg, P)
+            for error in (undecided, unconverged):
+                if error:
                     report.partial = True
-                    report.row_errors.append(f"P={P}: Li_f did not converge")
+                    report.row_errors.append(error)
             predicted = euler.value * li_value
             ratio = counted.count / predicted if predicted else math.inf
             report.rows.append(

@@ -1,0 +1,48 @@
+"""The benchmark's tracer replaces package functions by name; a renamed
+name must fail here before it fails a benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+import polydensity
+import polydensity.cli
+from polydensity import Box, parse_polynomial
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = ("cli", "verify", "localcounts", "counting", "integrals", "expsums")
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _attributes():
+    return {name: dict(vars(getattr(polydensity, name))) for name in MODULES}
+
+
+def test_install_and_restore():
+    tracing = _load_tracing()
+    before = _attributes()
+    tracer, patcher = tracing.Tracer(), tracing.Patcher()
+    tracing.install(tracer, patcher, polydensity)
+    try:
+        f = parse_polynomial("x1^2 + x2^2", 2)
+        for mode in ("prime", "squarefree"):
+            polydensity.verify.count_values(f, Box([(1, 2), (1, 2)]), 30, mode)
+    finally:
+        patcher.restore()
+    assert _attributes() == before
+    # one table span per count, none nested in another
+    tables = [i for i, rec in enumerate(tracer.spans) if rec["name"] == "counting.table"]
+    assert len(tables) == 2
+    assert all(tracer.spans[i]["parent"] not in tables for i in tables)
+
+
+def test_probed_names_exist():
+    for name in ("count_values", "li_f", "li_joint"):
+        assert callable(getattr(polydensity.verify, name))

@@ -77,6 +77,30 @@ class TestDensities:
         )
         assert code == 0
 
+    def test_euler_budget_exit(self, write_config, capsys):
+        cfg = write_config(
+            polynomials=["x1^2 + x2^2 + x3^2 + x4^2"],
+            box=[[1, 2]] * 4,
+            mode="prime",
+            euler_cutoff=48,
+            budget=1000,
+        )
+        assert main(["densities", cfg]) == 3
+        assert "euler product: 7^4 exceeds budget 1000" in capsys.readouterr().err
+
+    def test_unconverged_li_exit(self, write_config, monkeypatch, capsys):
+        real = polydensity.verify.li_f
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(polydensity.verify, "li_f", unconverged)
+        cfg = write_config(mode="prime", force=True, P_grid=[20])
+        assert main(["densities", cfg]) == 3
+        captured = capsys.readouterr()
+        assert len(captured.out.strip().splitlines()) == 2
+        assert "P=20: Li_f did not converge" in captured.err
+
 
 class TestExpsum:
     def test_table(self, write_config, capsys):
@@ -112,6 +136,24 @@ class TestCount:
         cfg = write_config(P_grid=[10, 10**6], budget=10**6)
         assert main(["count", cfg]) == 3
         assert "budget" in capsys.readouterr().err
+
+    def test_undecided_values_exit(self, write_config, monkeypatch, capsys):
+        def undecided_on_sevens(m, *args, **kwargs):
+            if m % 7 == 0:
+                raise polydensity.counting.SquarefreeUnknownError(f"stub {m}")
+            return real(m, *args, **kwargs)
+
+        real = polydensity.counting.is_squarefree
+        monkeypatch.setattr(polydensity.counting, "is_squarefree", undecided_on_sevens)
+        monkeypatch.setattr(polydensity.counting, "TABLE_LIMIT", 0)
+        assert main(["count", write_config(P_grid=[20])]) == 3
+        captured = capsys.readouterr()
+        p, lattice_points, count = captured.out.strip().splitlines()[1].split(",")
+        assert (p, lattice_points) == ("20", str(21 * 21))
+        undecided = sum(
+            1 for x in range(20, 41) for y in range(20, 41) if (x * x + y * y) % 7 == 0
+        )
+        assert f"P=20: {undecided} values undecided" in captured.err
 
 
 class TestVerify:

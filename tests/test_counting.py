@@ -15,6 +15,7 @@ from polydensity import (
     primes_upto,
     squarefree_table,
 )
+from polydensity import counting
 from polydensity.counting import BudgetExceededError
 
 
@@ -65,6 +66,20 @@ class TestSieves:
         for m in range(1, 1000):
             expected = all(e < 2 for e in sympy.factorint(m).values())
             assert bool(table[m]) == expected
+
+    def test_trial_primes_built_once(self, monkeypatch):
+        calls = []
+        real = counting._sieve_bools
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        counting._trial_primes.cache_clear()
+        monkeypatch.setattr(counting, "_sieve_bools", counted)
+        for m in range(10**10, 4 * 10**10, 3 * 10**8):
+            is_squarefree(m)
+        assert len(calls) <= 1
 
 
 class TestSquarefree:
@@ -162,6 +177,31 @@ class TestCountValues:
         r4 = count_values(self.f, self.box, 200, mode="squarefree", threads=4)
         assert r1.count == r4.count
         assert r1.lattice_points == r4.lattice_points
+
+    def test_slabs_do_not_depend_on_threads(self, monkeypatch):
+        seen = {}
+        real = counting._count_slab
+
+        def record(polys, ranges, first_slice, *args):
+            seen.setdefault(threads, []).append((first_slice.start, first_slice.stop))
+            return real(polys, ranges, first_slice, *args)
+
+        monkeypatch.setattr(counting, "_count_slab", record)
+        monkeypatch.setattr(counting, "RESIDUE_CHUNK", 50 * 61)
+        for threads in (1, 3):
+            count_values(self.f, self.box, 60, mode="prime", threads=threads)
+        assert sorted(seen[1]) == sorted(seen[3]) == [(0, 50), (50, 61)]
+
+    def test_value_outside_window_raises(self, monkeypatch):
+        real = counting._value_window
+
+        def too_narrow(*args):
+            lo, hi = real(*args)
+            return lo + 1, hi
+
+        monkeypatch.setattr(counting, "_value_window", too_narrow)
+        with pytest.raises(ArithmeticError):
+            count_values(self.f, self.box, 5, mode="prime")
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):

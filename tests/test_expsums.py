@@ -201,6 +201,14 @@ class TestTrigPolys:
         table = squarefree_table(37)
         assert abs(got - int(table[4:37].sum())) < 1e-9
 
+    def test_q_interval_signs_and_empty(self):
+        from polydensity.expsums import q_alpha_interval
+
+        # square-free m != 0 in [-10, 10]: +-1, +-2, +-3, +-5, +-6, +-7, +-10
+        assert abs(q_alpha_interval(-10, 10, 0.0) - 14) < 1e-9
+        assert q_alpha_interval(0, 0, 0.3) == 0j
+        assert q_alpha_interval(5, 4, 0.3) == 0j
+
     def test_dispatcher(self):
         params = {"f": self.f, "box": self.box, "P": 2}
         assert trig_poly_eval("S", params, 0.25) == s_alpha(

@@ -2,21 +2,26 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polydensity import (
+    Box,
     ExpSumTable,
     MultiPoly,
     complete_exp_sum,
+    count_values,
     count_zeros_mod,
+    is_prime,
     is_prime_certified,
     is_squarefree,
     parse_polynomial,
     residue_histogram,
 )
+from polydensity import counting
 
 
 @st.composite
@@ -189,3 +194,63 @@ class TestArithmeticInvariants:
     @given(st.integers(2, 10**4))
     def test_square_never_squarefree(self, m):
         assert not is_squarefree(m * m)
+
+
+@st.composite
+def lattice_boxes(draw, n):
+    """Boxes inside [-1, 1]^n and a scale P <= 2, so that every value of a
+    polynomials() draw stays below 5 * 20 * 2^12 in absolute value."""
+    intervals = []
+    for _ in range(n):
+        a = draw(st.fractions(-1, 1, max_denominator=4))
+        b = draw(st.fractions(a, 1, max_denominator=4))
+        intervals.append((a, b))
+    return Box(intervals), draw(st.integers(1, 2))
+
+
+class TestCountingInvariants:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(-50, 10**6), st.integers(0, 2000), st.booleans())
+    @example(0, 2000, False)
+    @example(1, 50, True)
+    @example(2, 0, False)
+    @example(0, 0, True)
+    def test_window_sieve_matches_value_tests(self, lo, width, squarefree):
+        hi = lo + width
+        table = counting._sieve_bools(lo, hi, squarefree)
+        test = is_squarefree if squarefree else is_prime
+        assert [bool(v) for v in table] == [test(m) for m in range(lo, hi + 1)]
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        polynomials(),
+        st.sampled_from(["prime", "squarefree", "joint"]),
+        st.booleans(),
+        st.integers(1, 5),
+        st.data(),
+    )
+    def test_table_path_matches_per_value_path(self, f, mode, negate, shift, data):
+        if negate:
+            f = -f
+        box, P = data.draw(lattice_boxes(f.n_vars))
+        polys = f
+        if mode == "joint":
+            polys = [f, f + MultiPoly(f.n_vars, {(0,) * f.n_vars: shift})]
+        table = count_values(polys, box, P, mode)
+        with mock.patch.object(counting, "TABLE_LIMIT", 0):
+            per_value = count_values(polys, box, P, mode)
+        assert (table.count, table.lattice_points) == (
+            per_value.count,
+            per_value.lattice_points,
+        )
+
+    @settings(deadline=None, max_examples=60)
+    @given(polynomials(), st.booleans(), st.data())
+    def test_lattice_values_inside_certified_window(self, f, squarefree, data):
+        box, P = data.draw(lattice_boxes(f.n_vars))
+        ranges = box.lattice_ranges(P)
+        assume(all(len(r) for r in ranges))
+        lo, hi = counting._value_window(f, ranges, squarefree)
+        for x in itertools.product(*ranges):
+            v = f.evaluate_int(x)
+            assert lo <= (abs(v) if squarefree else v) <= hi
