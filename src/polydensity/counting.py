@@ -1,14 +1,14 @@
 """Exact counting of prime, square-free, and joint prime polynomial values.
 
-The enumeration of lattice points is vectorised with numpy and cut into
-slabs of at most ``poly.RESIDUE_CHUNK`` points along the first coordinate,
-whatever the thread count, so single-threaded and multi-threaded runs sum
-the same slabs.  A fast int64 path is used whenever an a-priori bound on |f|
-over the scaled box certifies that no overflow can occur.  Membership tests
-then read a table from one windowed sieve (``_sieve_bools``), sized to the
-value range [min f, max f] (of |f| for square-freeness) certified by
-interval arithmetic over the lattice box; a window too wide for memory falls
-back to testing each distinct value.  The same sieve gives ``primes_upto``,
+The lattice points are enumerated on the chunked grid ``poly.grid_chunks``
+(at most ``poly.RESIDUE_CHUNK`` points a chunk), vectorised with numpy;
+every thread count sums the same chunks, and threads pull them a few at a
+time, so memory stays bounded.  A fast int64 path is used whenever an
+a-priori bound on |f| over the scaled box certifies that no overflow can
+occur.  Membership tests then read a table from one windowed sieve
+(``_sieve_bools``), sized to the value range [min f, max f] (of |f| for
+square-freeness) certified by interval arithmetic over the lattice box; a
+window too wide for memory falls back to testing each distinct value.  The same sieve gives ``primes_upto``,
 ``primes_in_interval`` and ``squarefree_table``.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .intervals import interval_eval
-from .poly import RESIDUE_CHUNK, Box, MultiPoly, PolynomialError
+from .poly import Box, MultiPoly, PolynomialError, grid_chunks
 
 
 class BudgetExceededError(RuntimeError):
@@ -277,20 +278,6 @@ class CountResult:
     unknown_values: int = 0
 
 
-def _slab_coords(
-    ranges: list[range], first_slice: slice
-) -> list[np.ndarray]:
-    """Broadcastable coordinate arrays for a slab of the lattice grid."""
-    n = len(ranges)
-    coords = []
-    first = np.arange(ranges[0].start, ranges[0].stop)[first_slice]
-    coords.append(first.reshape((-1,) + (1,) * (n - 1)))
-    for i in range(1, n):
-        axis = np.arange(ranges[i].start, ranges[i].stop)
-        coords.append(axis.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i)))
-    return coords
-
-
 def _value_window(
     f: MultiPoly, ranges: list[range], squarefree: bool
 ) -> tuple[int, int]:
@@ -303,17 +290,15 @@ def _value_window(
     return lo, hi
 
 
-def _count_slab(
+def _count_chunk(
     polys: list[MultiPoly],
-    ranges: list[range],
-    first_slice: slice,
+    coords: list[np.ndarray],
     mode: str,
     tables: list[tuple[int, np.ndarray]] | None,
     int64_safe: bool,
 ) -> tuple[int, int]:
-    """(count, unknown) over one slab; ``tables`` holds (lo, table) per
-    polynomial, with entry v - lo the verdict on value v."""
-    coords = _slab_coords(ranges, first_slice)
+    """(count, unknown) over one grid chunk; ``tables`` holds (lo, table)
+    per polynomial, with entry v - lo the verdict on value v."""
     if not int64_safe:
         coords = [c.astype(object) for c in coords]
     shape = np.broadcast_shapes(*(c.shape for c in coords))
@@ -346,6 +331,23 @@ def _count_slab(
     return int(ok.sum()), unknown
 
 
+def _map_lazily(work, items, threads: int):
+    """``work(item)`` for every item, in order.  With ``threads > 1`` a pool
+    runs them, pulling at most ``2 * threads`` items ahead of the results
+    (``ThreadPoolExecutor.map`` would pull every item first)."""
+    if threads == 1:
+        yield from map(work, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(work, item))
+            if len(pending) >= 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def count_values(
     f: MultiPoly | Sequence[MultiPoly],
     box: Box,
@@ -369,9 +371,7 @@ def count_values(
     if box.n_dims != n:
         raise PolynomialError("box dimension does not match polynomial")
     ranges = box.lattice_ranges(P)
-    lattice_points = 1
-    for r in ranges:
-        lattice_points *= max(0, len(r))
+    lattice_points = box.lattice_point_count(P)
     if lattice_points == 0:
         return CountResult(0, 0, P, time.perf_counter() - start_time, mode)
     if lattice_points > budget:
@@ -392,23 +392,14 @@ def count_values(
         ):
             tables = [(lo, _sieve_bools(lo, hi, squarefree)) for lo, hi in windows]
 
-    # slabs of at most RESIDUE_CHUNK points (one first-axis row at least),
-    # whatever the thread count, so that every run sums the same slabs
-    n_first = len(ranges[0])
-    rows = max(1, RESIDUE_CHUNK // (lattice_points // n_first))
-    slabs = [slice(a, min(a + rows, n_first)) for a in range(0, n_first, rows)]
+    def work(coords) -> tuple[int, int]:
+        return _count_chunk(polys, coords, mode, tables, int64_safe)
 
-    def work(sl: slice) -> tuple[int, int]:
-        return _count_slab(polys, ranges, sl, mode, tables, int64_safe)
-
-    if threads > 1 and len(slabs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, slabs))
-    else:
-        results = [work(sl) for sl in slabs]
-
-    count = sum(r[0] for r in results)
-    unknown = sum(r[1] for r in results)
+    chunks = (coords for _, coords in grid_chunks(ranges))
+    count = unknown = 0
+    for chunk_count, chunk_unknown in _map_lazily(work, chunks, threads):
+        count += chunk_count
+        unknown += chunk_unknown
     return CountResult(
         count=count,
         lattice_points=lattice_points,

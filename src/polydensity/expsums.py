@@ -3,7 +3,9 @@ trigonometric polynomials S, W, Q of the circle-method identities.
 
 Sums over residue space go through a value histogram: the residues of f over
 (Z/qZ)^n are tallied once (see ``localcounts.residue_histogram``), after
-which one FFT of length q gives S_{a,q} for every a at once.
+which one FFT of length q gives S_{a,q} for every a at once.  Sums over
+the lattice points of P*B (S(alpha) and the orthogonality count) take the
+values of f chunk by chunk from the grid iterator ``poly.grid_chunks``.
 The square-free weights g(q, d) and G(q) are exact rationals throughout.
 """
 
@@ -18,7 +20,7 @@ import numpy as np
 from .counting import BudgetExceededError, _sieve_bools, primes_in_interval
 from .intervals import value_range
 from .localcounts import residue_histogram
-from .poly import Box, MultiPoly, PolynomialError
+from .poly import Box, MultiPoly, grid_chunks
 
 
 def _spectrum(hist: np.ndarray) -> np.ndarray:
@@ -195,23 +197,13 @@ def _divisors(q: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_values(
-    f: MultiPoly, box: Box, P: int, budget: int
-) -> np.ndarray:
-    ranges = box.lattice_ranges(P)
-    total = 1
-    for r in ranges:
-        total *= max(0, len(r))
+def _lattice_values(f: MultiPoly, box: Box, P: int, budget: int):
+    """The values of f on Z^n intersect P*B, one flat array per grid chunk."""
+    total = box.lattice_point_count(P)
     if total > budget:
         raise BudgetExceededError(f"{total} lattice points exceed budget")
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    n = f.n_vars
-    coords = [
-        np.arange(r.start, r.stop).reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
-        for i, r in enumerate(ranges)
-    ]
-    return f.evaluate_array(coords).ravel()
+    for _, coords in grid_chunks(box.lattice_ranges(P)):
+        yield f.evaluate_array(coords).ravel()
 
 
 def w_interval(f: MultiPoly, box: Box, P: int) -> tuple[int, int]:
@@ -240,8 +232,12 @@ def s_alpha(
     f: MultiPoly, box: Box, P: int, alpha: float, budget: int = 10**8
 ) -> complex:
     """S(alpha) = sum over Z^n intersect P*B of e(alpha f(x))."""
-    values = _lattice_values(f, box, P, budget)
-    return complex(np.sum(np.exp(2j * np.pi * alpha * values.astype(np.float64))))
+    return complex(
+        sum(
+            np.sum(np.exp(2j * np.pi * alpha * values.astype(np.float64)))
+            for values in _lattice_values(f, box, P, budget)
+        )
+    )
 
 
 def w_alpha(
@@ -271,23 +267,6 @@ def q_alpha(
     return q_alpha_interval(lo, hi, alpha, budget)
 
 
-def trig_poly_eval(kind: str, params: dict, alpha: float) -> complex:
-    """Dispatcher over the three trigonometric polynomials.
-
-    kind 'S' and 'W' expect params {f, box, P}; kind 'Q' expects either
-    {f, box, P} or an explicit interval {lo, hi}.
-    """
-    if kind == "S":
-        return s_alpha(params["f"], params["box"], params["P"], alpha)
-    if kind == "W":
-        return w_alpha(params["f"], params["box"], params["P"], alpha)
-    if kind == "Q":
-        if "lo" in params:
-            return q_alpha_interval(params["lo"], params["hi"], alpha)
-        return q_alpha(params["f"], params["box"], params["P"], alpha)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Identity checks
 # ---------------------------------------------------------------------------
@@ -302,9 +281,10 @@ def orthogonality_count(
     the Riemann sum exact; the result is rounded to the nearest integer and
     a residual of 1e-6 or more raises ArithmeticError.
     """
-    values = _lattice_values(f, box, P, budget)
-    if len(values) == 0:
+    chunks = list(_lattice_values(f, box, P, budget))
+    if not chunks:
         return 0
+    values = np.concatenate(chunks)
     lo, hi = w_interval(f, box, P)
     primes = primes_in_interval(max(lo, 2), hi)
     v_min = int(values.min())
@@ -349,9 +329,3 @@ def observatory_check(
         raise ArithmeticError(f"observatory mismatch {lhs.real} vs {rhs}")
     return float(lhs.real), rhs
 
-
-def tf_gq_csv_rows(f: MultiPoly, qs) -> list[list[str]]:
-    rows = [["q", "T_f", "G"]]
-    for q in qs:
-        rows.append([str(q), repr(t_f(f, q)), str(big_g(q))])
-    return rows

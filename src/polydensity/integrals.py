@@ -24,20 +24,6 @@ def _float_bounds(box: Box) -> list[tuple[float, float]]:
     return [(float(a), float(b)) for a, b in box.intervals]
 
 
-def _poly_on_grids(f: MultiPoly):
-    def evaluate(grids: Sequence[np.ndarray]) -> np.ndarray:
-        total = np.zeros(np.broadcast_shapes(*(g.shape for g in grids)))
-        for exps, coeff in f.terms.items():
-            term = np.full_like(total, float(coeff))
-            for g, e in zip(grids, exps):
-                if e:
-                    term = term * g**e
-            total = total + term
-        return total
-
-    return evaluate
-
-
 def oscillatory_integral(
     f0: MultiPoly, box: Box, gamma: float, tol: float = 1e-9
 ) -> QuadratureResult:
@@ -48,10 +34,9 @@ def oscillatory_integral(
         raise PolynomialError("desk scale: at most 4 variables")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    poly = _poly_on_grids(f0)
 
     def integrand(grids):
-        return np.exp(2j * np.pi * gamma * poly(grids))
+        return np.exp(2j * np.pi * gamma * f0.evaluate_array(grids))
 
     lo, hi = value_range(f0, box, refinements=40)
     swing = abs(gamma) * float(hi - lo)
@@ -74,50 +59,33 @@ def oscillatory_integral(
 def li_f(
     f: MultiPoly, box: Box, P: float, tol: float = 1e-8
 ) -> QuadratureResult:
-    """Li_f(P*B) = integral over P*B of dx / log f0(x).
-
-    Requires f0(P*B) within (1, infinity), certified by interval arithmetic.
-    """
-    f0 = f.top_degree_part()
-    d = f.degree
-    if d == 0:
+    """Li_f(P*B) = integral over P*B of dx / log f0(x); see :func:`li_joint`."""
+    if f.is_constant():
         raise PolynomialError("constant polynomial")
-    # f0(P t) = P^d f0(t) > 1 on B iff f0 > P^{-d} on B
-    p_exact = Fraction(P).limit_denominator(10**12)
-    certify_above(f0, box, threshold=Fraction(1) / p_exact**d)
-    poly = _poly_on_grids(f0)
-    log_p = math.log(P)
-    pn = float(P) ** f.n_vars
-
-    def integrand(grids):
-        return 1.0 / (d * log_p + np.log(poly(grids)))
-
-    result = integrate_box(integrand, _float_bounds(box), tol / max(pn, 1.0))
-    return QuadratureResult(
-        value=result.value * pn,
-        abs_error_estimate=result.abs_error_estimate * pn,
-        evaluations=result.evaluations,
-        converged=result.converged,
-    )
+    return li_joint([f], box, P, tol)
 
 
 def li_joint(
     polys: Sequence[MultiPoly], box: Box, P: float, tol: float = 1e-8
 ) -> QuadratureResult:
-    """Integral over P*B of dx / prod_i log f_{i0}(x) (joint prime mode)."""
+    """Integral over P*B of dx / prod_i log f_{i0}(x) (joint prime mode).
+
+    Requires every f_{i0}(P*B) within (1, infinity), certified by interval
+    arithmetic against the exact rational value of ``P``.
+    """
     tops = [f.top_degree_part() for f in polys]
     degs = [f.degree for f in polys]
+    # f0(P t) = P^d f0(t) > 1 on B iff f0 > P^{-d} on B
     for f0, d in zip(tops, degs):
-        certify_above(f0, box, threshold=Fraction(1, int(round(P)) ** d))
-    grids_polys = [_poly_on_grids(f0) for f0 in tops]
+        certify_above(f0, box, threshold=1 / Fraction(P) ** d)
     log_p = math.log(P)
     n = polys[0].n_vars
     pn = float(P) ** n
 
     def integrand(grids):
         denom = 1.0
-        for poly, d in zip(grids_polys, degs):
-            denom = denom * (d * log_p + np.log(poly(grids)))
+        for f0, d in zip(tops, degs):
+            denom = denom * (d * log_p + np.log(f0.evaluate_array(grids)))
         return 1.0 / denom
 
     result = integrate_box(integrand, _float_bounds(box), tol / max(pn, 1.0))
@@ -147,10 +115,9 @@ def log_moment(
         _MOMENT_CACHE[key] = result
         return result
     certify_above(f0, box, threshold=0)
-    poly = _poly_on_grids(f0)
 
     def integrand(grids):
-        return np.log(poly(grids)) ** k
+        return np.log(f0.evaluate_array(grids)) ** k
 
     result = integrate_box(integrand, _float_bounds(box), tol)
     _MOMENT_CACHE[key] = result

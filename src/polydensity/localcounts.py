@@ -7,6 +7,9 @@ variables is swept block by block and the block histograms are convolved
 four sweeps of p residues, not one of p^4.  Counts modulo p^2 lift the
 roots modulo p instead (a solution modulo p^2 must reduce to one modulo
 p): smooth roots by Hensel, singular ones by enumerating their fiber.
+Every sweep, of residues and of fibers alike, runs on the chunked grid
+``poly.grid_chunks``, so its memory stays within ``poly.RESIDUE_CHUNK``
+points whatever q and n are.
 
 Euler factors are exact rationals; partial products are accumulated as
 exact rationals as well, so there is no drift over thousands of factors.
@@ -23,14 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import BudgetExceededError, primes_upto
-from .poly import (
-    RESIDUE_CHUNK,
-    MultiPoly,
-    PolynomialError,
-    SigmaEstimate,
-    residue_grid,
-)
+from .counting import BudgetExceededError, is_prime, primes_upto
+from .poly import MultiPoly, PolynomialError, SigmaEstimate, grid_chunks
+
 
 def residue_histogram(f: MultiPoly, q: int, budget: int = 10**8) -> np.ndarray:
     """#{x in (Z/qZ)^n : f(x) = c mod q} for c = 0..q-1, exact int64.
@@ -51,7 +49,7 @@ def residue_histogram(f: MultiPoly, q: int, budget: int = 10**8) -> np.ndarray:
     hist = None
     for variables, g in blocks:
         block = np.zeros(q, dtype=np.int64)
-        for _, coords in residue_grid(q, len(variables)):
+        for _, coords in grid_chunks([range(q)] * len(variables)):
             block += np.bincount(
                 g.evaluate_array(coords, modulus=q).ravel(), minlength=q
             )
@@ -72,7 +70,7 @@ def _roots_mod(f: MultiPoly, p: int, n: int) -> np.ndarray:
     """All x in F_p^n with f(x) = 0, as an (N, n) array."""
     flat = [
         start + np.flatnonzero(f.evaluate_array(coords, modulus=p) == 0)
-        for start, coords in residue_grid(p, n)
+        for start, coords in grid_chunks([range(p)] * n)
     ]
     return np.stack(np.unravel_index(np.concatenate(flat), (p,) * n), axis=1)
 
@@ -104,19 +102,10 @@ def count_zeros_mod(f: MultiPoly, modulus: int, budget: int = 10**8) -> int:
     work = len(roots) * p**n
     if work > budget:
         raise BudgetExceededError(f"fiber sweep {work} exceeds budget {budget}")
-    if len(roots) == 0:
-        return total
-    lift_axes = [
-        np.arange(p, dtype=np.int64).reshape((1,) * i + (p,) + (1,) * (n - 1 - i))
-        for i in range(n)
-    ]
-    chunk_roots = max(1, RESIDUE_CHUNK // max(1, p**n))
-    for start in range(0, len(roots), chunk_roots):
-        block = roots[start : start + chunk_roots]
-        coords = [
-            block[:, i].reshape((-1,) + (1,) * n) + p * lift_axes[i][None, ...]
-            for i in range(n)
-        ]
+    # the fiber of root r is r + p * t for t in (Z/pZ)^n: one grid over
+    # (root index, t)
+    for _, (index, *lifts) in grid_chunks([range(len(roots))] + [range(p)] * n):
+        coords = [roots[index, i] + p * t for i, t in enumerate(lifts)]
         vals = f.evaluate_array(coords, modulus=modulus)
         total += int((vals == 0).sum())
     return total
@@ -127,20 +116,11 @@ def _prime_power_shape(modulus: int) -> tuple[int, int]:
     if modulus < 2:
         raise ValueError("modulus must be at least 2")
     r = math.isqrt(modulus)
-    if r * r == modulus and _is_small_prime(r):
+    if r * r == modulus and is_prime(r):
         return r, 2
-    if _is_small_prime(modulus):
+    if is_prime(modulus):
         return modulus, 1
     raise ValueError(f"modulus {modulus} is not p or p^2 for a prime p")
-
-
-def _is_small_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    for q in range(2, math.isqrt(m) + 1):
-        if m % q == 0:
-            return False
-    return True
 
 
 def fixed_prime_divisors(f: MultiPoly) -> set[int]:
@@ -165,10 +145,6 @@ class LocalFactor:
     p: int
     value: Fraction
     raw_counts: dict = field(default_factory=dict)
-
-    @property
-    def value_float(self) -> float:
-        return float(self.value)
 
 
 def prime_euler_factor(f: MultiPoly, p: int, budget: int = 10**8) -> LocalFactor:
@@ -310,16 +286,3 @@ def _prime_tail_sum(x: int, e: float) -> float:
         return math.inf
     return x ** (1 - e) / ((e - 1) * math.log(x))
 
-
-def factors_to_csv_rows(factors: Sequence[LocalFactor]) -> list[list[str]]:
-    rows = [["p", "N_p", "N_p2", "factor_value"]]
-    for factor in factors:
-        rows.append(
-            [
-                str(factor.p),
-                str(factor.raw_counts.get("N_p", "")),
-                str(factor.raw_counts.get("N_p2", "")),
-                repr(float(factor.value)),
-            ]
-        )
-    return rows

@@ -97,21 +97,21 @@ class MultiPoly:
     # -- arithmetic (used by the parser and the analysis routines) --
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        return _from_dict(self.n_vars, _add(self._terms, other._terms))
+        return MultiPoly(self.n_vars, _add(self._terms, other._terms))
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return _from_dict(self.n_vars, _add(self._terms, _neg(other._terms)))
+        return MultiPoly(self.n_vars, _add(self._terms, _neg(other._terms)))
 
     def __neg__(self) -> "MultiPoly":
-        return _from_dict(self.n_vars, _neg(self._terms))
+        return MultiPoly(self.n_vars, _neg(self._terms))
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        return _from_dict(self.n_vars, _mul(self._terms, other._terms))
+        return MultiPoly(self.n_vars, _mul(self._terms, other._terms))
 
     def scale(self, c: int) -> "MultiPoly":
         if c == 0:
             raise PolynomialError("scaling by zero gives the zero polynomial")
-        return _from_dict(self.n_vars, {e: c * v for e, v in self._terms.items()})
+        return MultiPoly(self.n_vars, {e: c * v for e, v in self._terms.items()})
 
     # -- evaluation --
 
@@ -187,7 +187,7 @@ class MultiPoly:
     def top_degree_part(self) -> "MultiPoly":
         """Homogeneous part of maximal total degree (``f_0``)."""
         d = self.degree
-        return _from_dict(
+        return MultiPoly(
             self.n_vars, {e: c for e, c in self._terms.items() if sum(e) == d}
         )
 
@@ -197,7 +197,7 @@ class MultiPoly:
 
     def primitive_part(self) -> "MultiPoly":
         c = self.content()
-        return self if c == 1 else _from_dict(
+        return self if c == 1 else MultiPoly(
             self.n_vars, {e: v // c for e, v in self._terms.items()}
         )
 
@@ -212,7 +212,7 @@ class MultiPoly:
             key = tuple(new)
             out[key] = out.get(key, 0) + coeff * exps[i]
         out = {e: c for e, c in out.items() if c != 0}
-        return _from_dict(self.n_vars, out) if out else None
+        return MultiPoly(self.n_vars, out) if out else None
 
     def gradient(self) -> list["MultiPoly | None"]:
         return [self.partial(i) for i in range(self.n_vars)]
@@ -303,10 +303,6 @@ class MultiPoly:
         return expr
 
 
-def _from_dict(n_vars: int, terms: Mapping[tuple[int, ...], int]) -> MultiPoly:
-    return MultiPoly(n_vars, terms)
-
-
 def _add(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
@@ -327,39 +323,46 @@ def _mul(a: dict, b: dict) -> dict:
     return {e: c for e, c in out.items() if c != 0}
 
 
-#: most grid points in one chunk of :func:`residue_grid`
+#: most grid points in one chunk of :func:`grid_chunks`
 RESIDUE_CHUNK = 1 << 21
 
 
-def residue_grid(q: int, k: int):
-    """Chunks of the grid ``(Z/qZ)^k`` in C order, as ``(start, coords)``.
+def grid_chunks(ranges: Sequence[range]):
+    """Chunks of the grid ``ranges[0] x ranges[1] x ...`` of unit-step
+    ranges in C order, as ``(start, coords)``.
 
-    ``coords`` are ``k`` broadcastable int64 arrays; their broadcast lists
-    the grid points with linear indices ``start, start + 1, ...`` in C
-    order.  The trailing axes stay whole ``arange(q)`` axes, so per-axis
-    work such as powers is done once per axis; the leading axes share one
-    axis that runs over their combined index, so a chunk never holds more
-    than ``RESIDUE_CHUNK`` points.
+    ``coords`` are ``len(ranges)`` broadcastable int64 arrays; their
+    broadcast lists the grid points with linear indices ``start, start + 1,
+    ...``.  The trailing axes stay whole while they fit in one chunk, so
+    per-axis work such as powers is done once per axis; the leading axes
+    share one axis that runs over their combined index.  No chunk holds
+    more than ``RESIDUE_CHUNK`` points, and a grid with an empty range has
+    no chunk.
     """
-    trailing = 0
-    while trailing < k - 1 and q ** (trailing + 1) <= RESIDUE_CHUNK:
+    sizes = [len(r) for r in ranges]
+    if 0 in sizes:
+        return
+    k = len(ranges)
+    trailing, block = 0, 1
+    while trailing < k - 1 and block * sizes[k - 1 - trailing] <= RESIDUE_CHUNK:
+        block *= sizes[k - 1 - trailing]
         trailing += 1
     leading = k - trailing
-    block = q**trailing
-    rows = RESIDUE_CHUNK // block
     tail = [
-        np.arange(q, dtype=np.int64).reshape(
-            (1,) * (1 + i) + (q,) + (1,) * (trailing - 1 - i)
+        np.arange(r.start, r.stop, dtype=np.int64).reshape(
+            (1,) * (1 + i) + (-1,) + (1,) * (trailing - 1 - i)
         )
-        for i in range(trailing)
+        for i, r in enumerate(ranges[leading:])
     ]
-    for lo in range(0, q**leading, rows):
-        index = np.arange(lo, min(q**leading, lo + rows), dtype=np.int64)
+    n_rows = math.prod(sizes[:leading])
+    rows = RESIDUE_CHUNK // block
+    for lo in range(0, n_rows, rows):
+        index = np.arange(lo, min(n_rows, lo + rows), dtype=np.int64)
         index = index.reshape((-1,) + (1,) * trailing)
         head = []
-        for _ in range(leading):
-            head.append(index % q)
-            index = index // q
+        for r in reversed(ranges[:leading]):
+            head.append(r.start + index % len(r))
+            index = index // len(r)
         yield lo * block, head[::-1] + tail
 
 
@@ -550,13 +553,6 @@ class Box:
             v *= b - a
         return v
 
-    def scaled(self, p) -> "Box":
-        """The box ``P * B`` (every endpoint multiplied by ``p > 0``)."""
-        p = Fraction(p)
-        if p <= 0:
-            raise ValueError("scale factor must be positive")
-        return Box([(a * p, b * p) for a, b in self.intervals])
-
     def lattice_ranges(self, p: int) -> list[range]:
         """Integer ranges of ``Z^n`` intersected with ``p * B`` per axis."""
         out = []
@@ -567,10 +563,7 @@ class Box:
         return out
 
     def lattice_point_count(self, p: int) -> int:
-        count = 1
-        for r in self.lattice_ranges(p):
-            count *= max(0, len(r))
-        return count
+        return math.prod(len(r) for r in self.lattice_ranges(p))
 
     def midpoint(self) -> list[Fraction]:
         return [(a + b) / 2 for a, b in self.intervals]
@@ -638,7 +631,7 @@ def singular_dimension_estimate(
 def _count_gradient_zeros(grad: list, p: int, n: int) -> int:
     grad = [g for g in grad if g is not None]
     count = 0
-    for _, coords in residue_grid(p, n):
+    for _, coords in grid_chunks([range(p)] * n):
         mask = grad[0].evaluate_array(coords, modulus=p) == 0
         for g in grad[1:]:
             mask &= g.evaluate_array(coords, modulus=p) == 0

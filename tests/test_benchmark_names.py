@@ -46,3 +46,36 @@ def test_install_and_restore():
 def test_probed_names_exist():
     for name in ("count_values", "li_f", "li_joint"):
         assert callable(getattr(polydensity.verify, name))
+
+
+def test_experiment_records_every_layer_span():
+    """A refactor that stops calling a traced function through its module
+    attribute would silently zero that layer's metrics; fail here instead."""
+    tracing = _load_tracing()
+    tracer, patcher = tracing.Tracer(), tracing.Patcher()
+    tracing.install(tracer, patcher, polydensity)
+    try:
+        report = polydensity.verify.run_experiment(
+            {
+                "polynomials": ["x1^2 + x2^2 + x3^2 + x4^2"],
+                "box": [[1, 2]] * 4,
+                "mode": "prime",
+                "P_grid": [4],
+                "euler_cutoff": 12,
+            }
+        )
+    finally:
+        patcher.restore()
+    assert len(report.rows) == 1
+    spans = tracer.spans
+    names = {rec["name"] for rec in spans}
+    for name in ("integrals.li", "counting.count_values", "localcounts.euler_product"):
+        assert name in names
+    # the Euler product's own residue counts, not only the gate's
+    nested = {
+        (rec["name"], spans[rec["parent"]]["name"])
+        for rec in spans
+        if rec["parent"] is not None
+    }
+    assert ("localcounts.factor", "localcounts.euler_product") in nested
+    assert ("localcounts.count_zeros_mod", "localcounts.factor") in nested

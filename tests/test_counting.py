@@ -1,11 +1,14 @@
 """Counting engine: primality, square-freeness, sieves, lattice counts."""
 
+import math
+
 import numpy as np
 import pytest
 import sympy
 
 from polydensity import (
     Box,
+    MultiPoly,
     count_values,
     is_prime,
     is_prime_certified,
@@ -15,7 +18,7 @@ from polydensity import (
     primes_upto,
     squarefree_table,
 )
-from polydensity import counting
+from polydensity import counting, poly
 from polydensity.counting import BudgetExceededError
 
 
@@ -180,17 +183,38 @@ class TestCountValues:
 
     def test_slabs_do_not_depend_on_threads(self, monkeypatch):
         seen = {}
-        real = counting._count_slab
+        real = counting.grid_chunks
 
-        def record(polys, ranges, first_slice, *args):
-            seen.setdefault(threads, []).append((first_slice.start, first_slice.stop))
-            return real(polys, ranges, first_slice, *args)
+        def record(ranges):
+            for start, coords in real(ranges):
+                size = math.prod(np.broadcast_shapes(*(c.shape for c in coords)))
+                seen.setdefault(threads, []).append((start, size))
+                yield start, coords
 
-        monkeypatch.setattr(counting, "_count_slab", record)
-        monkeypatch.setattr(counting, "RESIDUE_CHUNK", 50 * 61)
+        monkeypatch.setattr(counting, "grid_chunks", record)
+        monkeypatch.setattr(poly, "RESIDUE_CHUNK", 50 * 61)
         for threads in (1, 3):
             count_values(self.f, self.box, 60, mode="prime", threads=threads)
-        assert sorted(seen[1]) == sorted(seen[3]) == [(0, 50), (50, 61)]
+        assert seen[1] == seen[3] == [(0, 50 * 61), (50 * 61, 11 * 61)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chunks_bounded_when_trailing_axes_exceed_limit(self, monkeypatch, threads):
+        # 61 points per axis at P = 60; a limit of 40 fits not even one row
+        expected = count_values(self.f, self.box, 60, mode="prime").count
+        sizes = []
+        real = MultiPoly.evaluate_array
+
+        def record(f, coords, modulus=None):
+            values = real(f, coords, modulus)
+            sizes.append(values.size)
+            return values
+
+        monkeypatch.setattr(MultiPoly, "evaluate_array", record)
+        monkeypatch.setattr(poly, "RESIDUE_CHUNK", 40)
+        got = count_values(self.f, self.box, 60, mode="prime", threads=threads)
+        assert got.count == expected
+        assert sum(sizes) == 61 * 61
+        assert max(sizes) <= 40
 
     def test_value_outside_window_raises(self, monkeypatch):
         real = counting._value_window

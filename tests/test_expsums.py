@@ -20,7 +20,6 @@ from polydensity import (
     q_alpha,
     s_alpha,
     t_f,
-    trig_poly_eval,
     w_alpha,
 )
 
@@ -208,17 +207,6 @@ class TestTrigPolys:
         assert abs(q_alpha_interval(-10, 10, 0.0) - 14) < 1e-9
         assert q_alpha_interval(0, 0, 0.3) == 0j
         assert q_alpha_interval(5, 4, 0.3) == 0j
-
-    def test_dispatcher(self):
-        params = {"f": self.f, "box": self.box, "P": 2}
-        assert trig_poly_eval("S", params, 0.25) == s_alpha(
-            self.f, self.box, 2, 0.25
-        )
-        assert trig_poly_eval("W", params, 0.25) == w_alpha(
-            self.f, self.box, 2, 0.25
-        )
-        with pytest.raises(ValueError):
-            trig_poly_eval("X", params, 0.0)
 
 
 class TestIdentityChecks:

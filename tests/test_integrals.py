@@ -178,6 +178,21 @@ class TestLiF:
         joint = li_joint([f], box, 500)
         assert abs(single.value - joint.value) < 1e-6 * single.value
 
+    def test_single_is_joint_of_one(self):
+        f = parse_polynomial("x1", 1)
+        box = Box([("9/25", 1)])
+        assert li_f(f, box, 3).value == li_joint([f], box, 3).value == 4.072361388154909
+
+    def test_joint_certifies_against_exact_p(self):
+        # f0(P t) = 2.6 t drops to 1 at t = 1/2.6 > 9/25: the integrand
+        # passes through log f = 0, so the box must be refused
+        f = parse_polynomial("x1", 1)
+        box = Box([("9/25", 1)])
+        with pytest.raises(PositivityError):
+            li_joint([f], box, 2.6)
+        with pytest.raises(PositivityError):
+            li_f(f, box, 2.6)
+
     def test_scaling_dominates(self):
         # li_f ~ vol(B) P^n / (d log P): ratio stabilizes near 1 as P grows
         f = parse_polynomial("x1^2 + x2^2", 2)

@@ -21,7 +21,7 @@ from polydensity import (
     parse_polynomial,
     residue_histogram,
 )
-from polydensity import counting
+from polydensity import counting, poly
 
 
 @st.composite
@@ -254,3 +254,27 @@ class TestCountingInvariants:
         for x in itertools.product(*ranges):
             v = f.evaluate_int(x)
             assert lo <= (abs(v) if squarefree else v) <= hi
+
+
+class TestGridChunks:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(0, 7)), min_size=1, max_size=4
+        ),
+        st.integers(1, 30),
+    )
+    @example([(0, 7), (-3, 0), (2, 5)], 4)
+    @example([(-5, 7)], 1)
+    def test_chunks_cover_grid_once_in_c_order(self, axes, limit):
+        ranges = [range(start, start + size) for start, size in axes]
+        with mock.patch.object(poly, "RESIDUE_CHUNK", limit):
+            chunks = list(poly.grid_chunks(ranges))
+        points = []
+        for start, coords in chunks:
+            assert len(coords) == len(ranges)
+            grid = np.broadcast_arrays(*coords)
+            assert start == len(points)
+            assert 0 < grid[0].size <= limit
+            points.extend(zip(*(g.ravel().tolist() for g in grid)))
+        assert points == list(itertools.product(*ranges))
