@@ -267,6 +267,13 @@ TABLE_LIMIT = 2 * 10**8
 _INT64_SAFE = 2**62
 
 
+def _fits_int64(polys: Sequence[MultiPoly], ranges: list[range]) -> bool:
+    """Whether every polynomial provably stays below ``_INT64_SAFE`` in
+    absolute value on the integer box spanned by ``ranges``."""
+    radius = [max(abs(r.start), abs(r.stop - 1)) for r in ranges]
+    return all(g.abs_bound(radius) < _INT64_SAFE for g in polys)
+
+
 @dataclass
 class CountResult:
     count: int
@@ -379,8 +386,7 @@ def count_values(
             f"{lattice_points} lattice points exceed budget {budget}"
         )
 
-    radius = [max(abs(r.start), abs(r.stop - 1)) for r in ranges]
-    int64_safe = all(g.abs_bound(radius) < _INT64_SAFE for g in polys)
+    int64_safe = _fits_int64(polys, ranges)
     tables: list[tuple[int, np.ndarray]] | None = None
     if int64_safe:
         squarefree = mode == "squarefree"

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import BudgetExceededError, _sieve_bools, primes_in_interval
+from .counting import BudgetExceededError, _fits_int64, _sieve_bools, primes_in_interval
 from .intervals import value_range
 from .localcounts import residue_histogram
 from .poly import Box, MultiPoly, grid_chunks
@@ -83,17 +83,10 @@ def _coprime_residues(q: int) -> list[int]:
 
 
 def _phi(q: int) -> int:
+    """Euler's phi, q * prod over p | q of (1 - 1/p), in exact integers."""
     result = q
-    m = q
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _factorize(q):
+        result -= result // p
     return result
 
 
@@ -198,11 +191,17 @@ def _divisors(q: int) -> list[int]:
 
 
 def _lattice_values(f: MultiPoly, box: Box, P: int, budget: int):
-    """The values of f on Z^n intersect P*B, one flat array per grid chunk."""
+    """The values of f on Z^n intersect P*B, one flat array per grid chunk.
+
+    Raises ArithmeticError unless int64 provably holds every value.
+    """
     total = box.lattice_point_count(P)
     if total > budget:
         raise BudgetExceededError(f"{total} lattice points exceed budget")
-    for _, coords in grid_chunks(box.lattice_ranges(P)):
+    ranges = box.lattice_ranges(P)
+    if not _fits_int64([f], ranges):
+        raise ArithmeticError("lattice values of f may overflow int64")
+    for _, coords in grid_chunks(ranges):
         yield f.evaluate_array(coords).ravel()
 
 

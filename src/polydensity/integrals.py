@@ -38,7 +38,7 @@ def oscillatory_integral(
     def integrand(grids):
         return np.exp(2j * np.pi * gamma * f0.evaluate_array(grids))
 
-    lo, hi = value_range(f0, box, refinements=40)
+    lo, hi = value_range(f0, box)
     swing = abs(gamma) * float(hi - lo)
     n = f0.n_vars
     # resolve the phase: aim for <= ~2.5 cycles per cell along every axis,
@@ -151,12 +151,10 @@ def laurent_expansion(
             pn * (-1) ** (k - 1) * moment.value / (d**k * log_p**k)
         )
         moment_error += pn * moment.abs_error_estimate / (d**k * log_p**k)
-    lo, hi = value_range(f0, box, refinements=40)
+    lo, hi = value_range(f0, box)
     if lo <= 0:
         certify_above(f0, box, threshold=0)
-        lo, hi = value_range(f0, box, refinements=400)
-        if lo <= 0:
-            raise PolynomialError("could not bound f0 away from 0 on the box")
+        raise PolynomialError("could not bound f0 away from 0 on the box")
     log_sup = max(abs(math.log(float(lo))), abs(math.log(float(hi))))
     ratio = log_sup / (d * log_p)
     if ratio >= 0.5:

@@ -1,16 +1,24 @@
-"""Exact interval arithmetic for certifying polynomial ranges over boxes.
+"""Exact interval arithmetic and one best-first bisection over boxes.
 
-Endpoints are Fractions, so the enclosures are rigorous without any
-rounding-mode machinery.  Used to certify box positivity of the top-degree
-form (a hypothesis of the density theorems) and to bound value ranges for
-the fast integer paths.
+Endpoints are Fractions, so every enclosure is rigorous without any
+rounding-mode machinery, and the enclosure of a one-point box is the exact
+value of f there.  A single Moore–Skelboe bisection (``_bisect``) keeps the
+boxes in a heap keyed by the lower end of their enclosure and always splits
+the lowest one.  It serves both callers: ``certify_above`` certifies box
+positivity of the top-degree form (a hypothesis of the density theorems),
+and ``value_range`` bounds the range of f, running the same loop on f and
+on -f.  Every run makes at most ``BISECTION_BUDGET`` boxes.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from .poly import Box, MultiPoly
+
+#: the most boxes one bisection makes; each costs two interval evaluations
+BISECTION_BUDGET = 20000
 
 
 class PositivityError(ValueError):
@@ -62,92 +70,62 @@ def _split(intervals) -> tuple[list, list]:
     return left, right
 
 
-def certify_above(
-    f: MultiPoly, box: Box, threshold=0, max_boxes: int = 20000
-) -> bool:
-    """Certify f > threshold everywhere on the box by recursive bisection.
+def _bisect(f: MultiPoly, box: Box):
+    """Best-first bisection towards the minimum of f on the box.
 
-    Raises PositivityError if f provably drops to threshold or below
-    somewhere, CertificationError if the bisection budget runs out first.
+    After the root and after every split, yields ``(bound, sample)`` with
+    ``bound <= min f(box) <= sample``: bound is the lowest enclosure in the
+    heap, sample the lowest exact value of f at the midpoint of a box made
+    so far.  Of boxes with equal bounds the one made last is split first,
+    so a bound attained along a whole face is refined depth-first rather
+    than box by box across the face.  Ends when the next split would
+    exceed ``BISECTION_BUDGET``.
+    """
+    heap: list = []
+    sample = None
+    made = 0
+    boxes = [box.intervals]
+    while made + len(boxes) <= BISECTION_BUDGET:
+        for intervals in boxes:
+            lo, _ = interval_eval(f, intervals)
+            mid, _ = interval_eval(f, [((a + b) / 2,) * 2 for a, b in intervals])
+            sample = mid if sample is None else min(sample, mid)
+            heapq.heappush(heap, (lo, -made, intervals))
+            made += 1
+        yield heap[0][0], sample
+        boxes = _split(heapq.heappop(heap)[2])
+
+
+def certify_above(f: MultiPoly, box: Box, threshold=0) -> bool:
+    """Certify f > threshold everywhere on the box by best-first bisection.
+
+    Raises PositivityError if f is <= threshold at a box midpoint, and
+    CertificationError if the bisection budget runs out first.
     """
     threshold = Fraction(threshold)
-    # quick refutation at the midpoint (exact rational evaluation)
-    val = _eval_rational(f, box.midpoint())
-    if val <= threshold:
-        raise PositivityError(
-            f"f = {val} <= {threshold} at the box midpoint"
-        )
-    stack = [tuple(box.intervals)]
-    processed = 0
-    while stack:
-        intervals = stack.pop()
-        processed += 1
-        if processed > max_boxes:
-            raise CertificationError(
-                "bisection budget exhausted; condition not certified"
-            )
-        lo, hi = interval_eval(f, intervals)
-        if lo > threshold:
-            continue
-        if hi <= threshold:
-            raise PositivityError(
-                f"f <= {threshold} on a sub-box (enclosure [{lo}, {hi}])"
-            )
-        mids = [(a + b) / 2 for a, b in intervals]
-        if _eval_rational(f, mids) <= threshold:
-            raise PositivityError(
-                f"f <= {threshold} at a sample point"
-            )
-        left, right = _split(intervals)
-        stack.append(left)
-        stack.append(right)
-    return True
+    for bound, sample in _bisect(f, box):
+        if sample <= threshold:
+            raise PositivityError(f"f = {sample} <= {threshold} at a box midpoint")
+        if bound > threshold:
+            return True
+    raise CertificationError("bisection budget exhausted; condition not certified")
 
 
-def _eval_rational(f: MultiPoly, point) -> Fraction:
-    total = Fraction(0)
-    for exps, coeff in f.terms.items():
-        term = Fraction(coeff)
-        for x, e in zip(point, exps):
-            if e:
-                term *= Fraction(x) ** e
-        total += term
-    return total
+def _lower_bound(f: MultiPoly, box: Box, tol: Fraction) -> Fraction:
+    for bound, sample in _bisect(f, box):
+        if sample - bound <= tol:
+            break
+    return bound
 
 
-def value_range(
-    f: MultiPoly, box: Box, refinements: int = 200
-) -> tuple[Fraction, Fraction]:
+def value_range(f: MultiPoly, box: Box) -> tuple[Fraction, Fraction]:
     """Outer bounds (lo, hi) with lo <= min f(box) and hi >= max f(box).
 
-    Bisection tightens the enclosure; inner bounds from corner samples stop
-    the refinement once the outer and inner bounds are close.
+    Each bound comes from the best-first bisection (of f for lo, of -f for
+    hi), which stops once an exact midpoint value lies within 1/256 of the
+    root enclosure's spread (at least 1) of the bound.  If the budget runs
+    out first, the bound reached so far is returned; it is still sound.
     """
-    boxes = [tuple(box.intervals)]
-    for _ in range(refinements):
-        enclosures = [interval_eval(f, iv) for iv in boxes]
-        lo = min(e[0] for e in enclosures)
-        hi = max(e[1] for e in enclosures)
-        samples = [_eval_rational(f, [(a + b) / 2 for a, b in iv]) for iv in boxes]
-        inner_lo = min(samples)
-        inner_hi = max(samples)
-        slack = max(inner_lo - lo, hi - inner_hi)
-        spread = max(hi - lo, Fraction(1))
-        if slack <= spread / 256 or len(boxes) > 512:
-            break
-        # refine the boxes responsible for the current outer bounds
-        worst_lo = min(range(len(boxes)), key=lambda i: enclosures[i][0])
-        worst_hi = max(range(len(boxes)), key=lambda i: enclosures[i][1])
-        new_boxes = []
-        for i, iv in enumerate(boxes):
-            if i in (worst_lo, worst_hi):
-                left, right = _split(iv)
-                new_boxes.extend([tuple(left), tuple(right)])
-            else:
-                new_boxes.append(iv)
-        boxes = new_boxes
-    enclosures = [interval_eval(f, iv) for iv in boxes]
-    return (
-        min(e[0] for e in enclosures),
-        max(e[1] for e in enclosures),
-    )
+    lo, hi = interval_eval(f, box.intervals)
+    tol = max(hi - lo, 1) / 256
+    return _lower_bound(f, box, tol), -_lower_bound(-f, box, tol)

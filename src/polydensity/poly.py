@@ -565,9 +565,6 @@ class Box:
     def lattice_point_count(self, p: int) -> int:
         return math.prod(len(r) for r in self.lattice_ranges(p))
 
-    def midpoint(self) -> list[Fraction]:
-        return [(a + b) / 2 for a, b in self.intervals]
-
 
 # ---------------------------------------------------------------------------
 # Singular-locus dimension estimate

@@ -79,3 +79,29 @@ def test_experiment_records_every_layer_span():
     }
     assert ("localcounts.factor", "localcounts.euler_product") in nested
     assert ("localcounts.count_zeros_mod", "localcounts.factor") in nested
+
+
+def test_circle_method_records_value_range_spans():
+    """The circle-method job reads ``intervals.value_range_s`` from the range
+    calls of the oscillatory integral and of the W-interval; each must go
+    through a traced module attribute."""
+    tracing = _load_tracing()
+    tracer, patcher = tracing.Tracer(), tracing.Patcher()
+    f = parse_polynomial("x1^2 + x2^2", 2)
+    box = Box([(1, 2), (1, 2)])
+    tracing.install(tracer, patcher, polydensity)
+    try:
+        # the job's own spans around the two calls, as in perfbench/job.py
+        with tracer.span("integrals.oscillatory"):
+            polydensity.oscillatory_integral(f, box, 0.5)
+        with tracer.span("expsums.orthogonality"):
+            polydensity.orthogonality_count(f, box, 5)
+    finally:
+        patcher.restore()
+    spans = tracer.spans
+    parents = {
+        spans[rec["parent"]]["name"]
+        for rec in spans
+        if rec["name"] == "intervals.value_range" and rec["parent"] is not None
+    }
+    assert parents == {"integrals.oscillatory", "expsums.orthogonality"}

@@ -185,6 +185,12 @@ class TestTrigPolys:
         )
         assert abs(s_alpha(self.f, self.box, P, alpha) - brute) < 1e-9
 
+    def test_s_refuses_values_past_int64(self):
+        # x1^5 reaches 3.2e21 on [10^4, 2*10^4]; int64 would wrap silently
+        f = parse_polynomial("x1^5", 1)
+        with pytest.raises(ArithmeticError):
+            s_alpha(f, Box([(1, 2)]), 10**4, 0.1)
+
     def test_w_at_zero_counts_primes(self):
         # W-interval for P=2: [f0 min * 2^2 / 2, 2 * f0 max * 2^2] = [4, 64]
         from polydensity import primes_in_interval

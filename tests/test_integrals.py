@@ -3,6 +3,7 @@
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from polydensity import (
     parse_polynomial,
     value_range,
 )
+from polydensity import intervals
 
 
 class TestIntervals:
@@ -33,7 +35,6 @@ class TestIntervals:
         for _ in range(200):
             x = Fraction(rng.integers(-100, 201), 100)
             y = Fraction(rng.integers(0, 101), 100)
-            v = f.evaluate_int  # not usable for fractions; do it manually
             val = x * x - 3 * x * y + y**3
             assert lo <= val <= hi
 
@@ -59,14 +60,31 @@ class TestIntervals:
     def test_certify_budget(self):
         # touches zero at an endpoint: can never be certified strictly above
         f = parse_polynomial("x1^2", 1)
-        with pytest.raises((PositivityError, CertificationError)):
-            certify_above(f, Box([(0, 1)]), 0, max_boxes=100)
+        with mock.patch.object(intervals, "BISECTION_BUDGET", 100):
+            with pytest.raises(CertificationError):
+                certify_above(f, Box([(0, 1)]), 0)
 
     def test_value_range_brackets_extrema(self):
         f = parse_polynomial("x1^2 + x2^2", 2)
         lo, hi = value_range(f, Box([(1, 2), (1, 2)]))
         assert lo <= 2 and hi >= 8
         assert lo >= 1 and hi <= 16
+
+    def test_value_range_exact_at_root_enclosure(self):
+        # the circle-method supports and phase grids read this range
+        f = parse_polynomial("x1^2 + x2^2", 2)
+        assert value_range(f, Box([(1, 2), (1, 2)])) == (2, 8)
+
+    def test_value_range_evaluation_count(self):
+        f = parse_polynomial("x1^4 - 3x1^2x2^2 + x2^4 + x1", 2)
+        box = Box([(1, 2), (1, 3)])
+        with mock.patch.object(
+            intervals, "interval_eval", wraps=intervals.interval_eval
+        ) as counted:
+            lo, hi = value_range(f, box)
+        assert counted.call_count <= 2000
+        # min -18 at (2, sqrt 6), max 56 at (1, 3)
+        assert -19 < lo <= -18 and 56 <= hi < 57
 
 
 class TestQuadrature:

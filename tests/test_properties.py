@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from polydensity import (
     Box,
     ExpSumTable,
     MultiPoly,
+    certify_above,
     complete_exp_sum,
     count_values,
     count_zeros_mod,
@@ -20,8 +22,10 @@ from polydensity import (
     is_squarefree,
     parse_polynomial,
     residue_histogram,
+    value_range,
 )
-from polydensity import counting, poly
+from polydensity import counting, intervals, poly
+from polydensity.intervals import CertificationError, PositivityError
 
 
 @st.composite
@@ -278,3 +282,63 @@ class TestGridChunks:
             assert 0 < grid[0].size <= limit
             points.extend(zip(*(g.ravel().tolist() for g in grid)))
         assert points == list(itertools.product(*ranges))
+
+
+@st.composite
+def boxes_and_samples(draw, n):
+    """A box inside [-2, 2]^n with quarter endpoints, and rational sample
+    points in it: every corner, the midpoint and a few random points."""
+    axes = []
+    for _ in range(n):
+        a = draw(st.fractions(-2, 2, max_denominator=4))
+        b = draw(st.fractions(a, 2, max_denominator=4))
+        axes.append((a, b))
+    points = list(itertools.product(*axes))
+    points.append(tuple((a + b) / 2 for a, b in axes))
+    for _ in range(draw(st.integers(0, 4))):
+        points.append(
+            tuple(draw(st.fractions(a, b, max_denominator=16)) for a, b in axes)
+        )
+    return Box(axes), points
+
+
+def exact_value(f, point):
+    total = Fraction(0)
+    for exps, coeff in f.terms.items():
+        term = Fraction(coeff)
+        for x, e in zip(point, exps):
+            term *= x**e
+        total += term
+    return total
+
+
+class TestBisectionInvariants:
+    """Soundness holds whenever the bisection stops, so each example draws
+    a small budget: it keeps the examples fast and also exercises the
+    budget-exhausted return of value_range."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(polynomials(), st.integers(1, 200), st.data())
+    def test_value_range_brackets_samples(self, f, budget, data):
+        box, points = data.draw(boxes_and_samples(f.n_vars))
+        with mock.patch.object(intervals, "BISECTION_BUDGET", budget):
+            lo, hi = value_range(f, box)
+        for point in points:
+            assert lo <= exact_value(f, point) <= hi
+
+    @settings(deadline=None, max_examples=60)
+    @given(polynomials(), st.integers(1, 200), st.data())
+    def test_certify_never_passes_a_low_sample(self, f, budget, data):
+        box, points = data.draw(boxes_and_samples(f.n_vars))
+        values = [exact_value(f, point) for point in points]
+        # a sample value itself (the least first, where f meets the
+        # threshold), or an integer near the range
+        threshold = data.draw(
+            st.sampled_from(sorted(values)) | st.integers(-40, 40).map(Fraction)
+        )
+        with mock.patch.object(intervals, "BISECTION_BUDGET", budget):
+            try:
+                certified = certify_above(f, box, threshold)
+            except (PositivityError, CertificationError):
+                return
+        assert certified and min(values) > threshold
