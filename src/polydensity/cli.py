@@ -21,7 +21,14 @@ import sys
 from .counting import BudgetExceededError
 from .expsums import ExpSumTable, big_g, t_f
 from .poly import PolynomialError
-from .reports import emit_report, report_from_dict, to_csv, to_json, to_plot_data
+from .reports import (
+    csv_text,
+    emit_report,
+    report_from_dict,
+    to_csv,
+    to_json,
+    to_plot_data,
+)
 from .verify import (
     ConfigError,
     check_hypotheses,
@@ -119,17 +126,6 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_GATE
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _cmd_densities(args) -> int:
     cfg = parse_config(_load_config(args.config))
     report = check_hypotheses(
@@ -155,7 +151,7 @@ def _cmd_densities(args) -> int:
              repr(euler.value * li_value)]
         )
     _write(
-        _csv_text(["P", "euler_value", "euler_tail", "li_value", "predicted"], rows),
+        csv_text(["P", "euler_value", "euler_tail", "li_value", "predicted"], rows),
         args.out,
     )
     return code
@@ -174,7 +170,7 @@ def _cmd_expsum(args) -> int:
     header, *rows = table.csv_rows()
     rows.append([str(args.q), "T_f", repr(t_f(f, args.q, budget=cfg["budget"])), ""])
     rows.append([str(args.q), "G", str(big_g(args.q)), ""])
-    _write(_csv_text(header, rows), args.out)
+    _write(csv_text(header, rows), args.out)
     return EXIT_OK
 
 
@@ -193,7 +189,7 @@ def _cmd_count(args) -> int:
         if undecided:
             print(undecided, file=sys.stderr)
             code = EXIT_BUDGET
-    _write(_csv_text(["P", "lattice_points", "count"], rows), args.out)
+    _write(csv_text(["P", "lattice_points", "count"], rows), args.out)
     return code
 
 

@@ -97,31 +97,20 @@ def li_joint(
     )
 
 
-_MOMENT_CACHE: dict[tuple[MultiPoly, Box, int], QuadratureResult] = {}
-
-
 def log_moment(
     f0: MultiPoly, box: Box, k: int, tol: float = 1e-10
 ) -> QuadratureResult:
     """J(k) = integral over B of (log f0(t))^k dt, for 0 <= k <= 40."""
     if k < 0 or k > 40:
         raise ValueError("k must be in [0, 40]")
-    key = (f0, box, k)
-    cached = _MOMENT_CACHE.get(key)
-    if cached is not None and cached.abs_error_estimate <= tol:
-        return cached
     if k == 0:
-        result = QuadratureResult(float(box.volume), 0.0, 0)
-        _MOMENT_CACHE[key] = result
-        return result
+        return QuadratureResult(float(box.volume), 0.0, 0)
     certify_above(f0, box, threshold=0)
 
     def integrand(grids):
         return np.log(f0.evaluate_array(grids)) ** k
 
-    result = integrate_box(integrand, _float_bounds(box), tol)
-    _MOMENT_CACHE[key] = result
-    return result
+    return integrate_box(integrand, _float_bounds(box), tol)
 
 
 def laurent_expansion(

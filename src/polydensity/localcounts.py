@@ -5,16 +5,19 @@ come from the residue histogram of f: a form split over disjoint sets of
 variables is swept block by block and the block histograms are convolved
 (the factorisation of Birch and Davenport), so x1^2 + ... + x4^2 costs
 four sweeps of p residues, not one of p^4.  Counts modulo p^2 lift the
-roots modulo p instead (a solution modulo p^2 must reduce to one modulo
-p): smooth roots by Hensel, singular ones by enumerating their fiber.
-Every sweep, of residues and of fibers alike, runs on the chunked grid
+roots modulo p (a solution modulo p^2 must reduce to one modulo p): a
+smooth root has p^(n-1) lifts by Hensel, and the fiber above a singular
+root, a common zero of f and its gradient, is all roots or none, since
+f(r + p t) = f(r) mod p^2 there.  So only f(r) mod p^2 at the singular
+roots is evaluated.  Every sweep runs on the chunked grid
 ``poly.grid_chunks``, so its memory stays within ``poly.RESIDUE_CHUNK``
 points whatever q and n are.
 
 Euler factors are exact rationals; partial products are accumulated as
 exact rationals as well, so there is no drift over thousands of factors.
-The tail bound is empirical: the decay exponent comes from the convergence
-analysis and the constant is calibrated on the last computed factors.
+The tail is an empirical estimate, not a bound: the decay exponent comes from
+the convergence analysis and the constant is fitted on the last computed
+factors.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .counting import BudgetExceededError, is_prime, primes_upto
-from .poly import MultiPoly, PolynomialError, SigmaEstimate, grid_chunks
+from .poly import MultiPoly, PolynomialError, SigmaEstimate, common_zeros, grid_chunks
 
 
 def residue_histogram(f: MultiPoly, q: int, budget: int = 10**8) -> np.ndarray:
@@ -66,49 +69,25 @@ def residue_histogram(f: MultiPoly, q: int, budget: int = 10**8) -> np.ndarray:
     return np.roll(hist, constant % q) * q**free
 
 
-def _roots_mod(f: MultiPoly, p: int, n: int) -> np.ndarray:
-    """All x in F_p^n with f(x) = 0, as an (N, n) array."""
-    flat = [
-        start + np.flatnonzero(f.evaluate_array(coords, modulus=p) == 0)
-        for start, coords in grid_chunks([range(p)] * n)
-    ]
-    return np.stack(np.unravel_index(np.concatenate(flat), (p,) * n), axis=1)
-
-
 def count_zeros_mod(f: MultiPoly, modulus: int, budget: int = 10**8) -> int:
     """Exact #{x in (Z/modulus Z)^n : f(x) = 0} for modulus p or p^2."""
-    n = f.n_vars
     p, k = _prime_power_shape(modulus)
-    if k == 1:
-        return int(residue_histogram(f, modulus, budget)[0])
-    # modulus = p^2: lift roots mod p.  Where some partial derivative is a
-    # unit mod p, Hensel gives exactly p^(n-1) lifts; the remaining
-    # (singular) roots get their full fiber enumerated.
-    if p**n > budget:
-        raise BudgetExceededError(f"{p}^{n} exceeds budget {budget}")
-    roots = _roots_mod(f, p, n)
-    if len(roots) == 0:
-        return 0
-    singular = np.ones(len(roots), dtype=bool)
-    for g in f.gradient():
-        if g is None:
-            continue
-        vals = g.evaluate_array(
-            [roots[:, i] for i in range(n)], modulus=p
-        )
-        singular &= vals == 0
-    total = int((~singular).sum()) * p ** (n - 1)
-    roots = roots[singular]
-    work = len(roots) * p**n
-    if work > budget:
-        raise BudgetExceededError(f"fiber sweep {work} exceeds budget {budget}")
-    # the fiber of root r is r + p * t for t in (Z/pZ)^n: one grid over
-    # (root index, t)
-    for _, (index, *lifts) in grid_chunks([range(len(roots))] + [range(p)] * n):
-        coords = [roots[index, i] + p * t for i, t in enumerate(lifts)]
-        vals = f.evaluate_array(coords, modulus=modulus)
-        total += int((vals == 0).sum())
-    return total
+    n_p = int(residue_histogram(f, p, budget)[0])
+    if k == 1 or n_p == 0:
+        return n_p
+    # modulus = p^2: a root r mod p where some partial derivative is a unit
+    # has p^(n-1) lifts r + p*t (Hensel).  Where the whole gradient vanishes,
+    # Taylor's formula gives f(r + p*t) = f(r) mod p^2 for every t, so all
+    # p^n lifts are roots or none is.  f(r) is evaluated exactly: an int64
+    # square of a residue mod p^2 overflows once p > 55108.
+    grad = [g for g in f.gradient() if g is not None]
+    singular = lifted = 0
+    for points in common_zeros([f, *grad], p):
+        values = f.evaluate_array([c.astype(object) for c in points])
+        singular += len(values)
+        lifted += int(np.count_nonzero(values % modulus == 0))
+    n = f.n_vars
+    return (n_p - singular) * p ** (n - 1) + lifted * p**n
 
 
 def _prime_power_shape(modulus: int) -> tuple[int, int]:
@@ -210,7 +189,7 @@ def euler_product(
     """Truncated singular series over p <= cutoff, with an empirical tail.
 
     Modes: 'prime-density' (needs n - sigma_f >= 3 for convergence, else
-    force), 'squarefree-density', 'joint'.  The tail bound is
+    force), 'squarefree-density', 'joint'.  The tail estimate is
     C * sum_{p > cutoff} p^{-e} with e = min(2, (n - sigma_f)/2) and C fitted
     on the deviation of the last ten computed factors from 1; when that
     exponent would make the sum divergent the tail falls back to e = 2 and

@@ -366,6 +366,24 @@ def grid_chunks(ranges: Sequence[range]):
         yield lo * block, head[::-1] + tail
 
 
+def common_zeros(polys: Sequence["MultiPoly"], p: int):
+    """Chunks of the points of ``F_p^n`` where every polynomial in ``polys``
+    vanishes mod ``p``, each a list of ``n`` int64 coordinate arrays.
+
+    The first polynomial is evaluated on each sparse chunk of
+    :func:`grid_chunks`, every later one only on the points that survive, so
+    no chunk holds more than ``RESIDUE_CHUNK`` points.
+    """
+    first, *rest = polys
+    for _, coords in grid_chunks([range(p)] * first.n_vars):
+        zero = first.evaluate_array(coords, modulus=p) == 0
+        points = [np.broadcast_to(c, zero.shape)[zero] for c in coords]
+        for g in rest:
+            keep = g.evaluate_array(points, modulus=p) == 0
+            points = [c[keep] for c in points]
+        yield points
+
+
 def _pow_mod_array(x: np.ndarray, e: int, modulus: int) -> np.ndarray:
     """x**e mod modulus by square-and-multiply; intermediates < modulus**2."""
     result = np.ones_like(x)
@@ -600,15 +618,15 @@ def singular_dimension_estimate(
         raise PolynomialError("sigma estimate requires a homogeneous polynomial")
     if not primes:
         raise PolynomialError("empty prime list")
-    grad = f0.gradient()
-    if all(g is None for g in grad):
+    grad = [g for g in f0.gradient() if g is not None]
+    if not grad:
         raise PolynomialError("gradient vanishes identically")
     n = f0.n_vars
     per_prime: list[tuple[int, int]] = []
     for p in primes:
         if p ** n > budget:
             raise PolynomialError(f"budget exceeded: {p}^{n} > {budget}")
-        count = _count_gradient_zeros(grad, p, n)
+        count = sum(len(points[0]) for points in common_zeros(grad, p))
         if count == 0:
             est = 0
         else:
@@ -623,17 +641,6 @@ def singular_dimension_estimate(
         per_prime=tuple(per_prime),
         agreement=len(set(values)) == 1,
     )
-
-
-def _count_gradient_zeros(grad: list, p: int, n: int) -> int:
-    grad = [g for g in grad if g is not None]
-    count = 0
-    for _, coords in grid_chunks([range(p)] * n):
-        mask = grad[0].evaluate_array(coords, modulus=p) == 0
-        for g in grad[1:]:
-            mask &= g.evaluate_array(coords, modulus=p) == 0
-        count += int(mask.sum())
-    return count
 
 
 # ---------------------------------------------------------------------------

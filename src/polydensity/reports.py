@@ -124,12 +124,19 @@ def to_json(report: ExperimentReport) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 
-def to_csv(report: ExperimentReport) -> str:
+def csv_text(header: list[str], rows: list[list]) -> str:
+    """RFC 4180 text of a header line and rows, CRLF-terminated."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow(
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def to_csv(report: ExperimentReport) -> str:
+    return csv_text(
+        CSV_COLUMNS,
+        [
             [
                 row.P,
                 row.lattice_points,
@@ -141,8 +148,9 @@ def to_csv(report: ExperimentReport) -> str:
                 repr(row.li_value),
                 repr(row.li_error),
             ]
-        )
-    return buf.getvalue()
+            for row in report.rows
+        ],
+    )
 
 
 def to_plot_data(report: ExperimentReport) -> str:

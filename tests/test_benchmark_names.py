@@ -81,6 +81,30 @@ def test_experiment_records_every_layer_span():
     assert ("localcounts.count_zeros_mod", "localcounts.factor") in nested
 
 
+def test_squarefree_factor_counts_once():
+    """``localcounts.residues`` adds p^n per count_zeros_mod span; a p^2
+    count that took its N_p through count_zeros_mod would add it twice."""
+    tracing = _load_tracing()
+    tracer, patcher = tracing.Tracer(), tracing.Patcher()
+    f = parse_polynomial("x1^2 + x2^2", 2)
+    tracing.install(tracer, patcher, polydensity)
+    try:
+        polydensity.verify.euler_product(f, "squarefree-density", 30)
+    finally:
+        patcher.restore()
+    spans = tracer.spans
+    factors = [i for i, rec in enumerate(spans) if rec["name"] == "localcounts.factor"]
+    counts = [
+        i for i, rec in enumerate(spans) if rec["name"] == "localcounts.count_zeros_mod"
+    ]
+    primes = [int(p) for p in polydensity.primes_upto(30)]
+    assert len(factors) == len(primes)
+    # one count per factor, each directly under its factor span
+    assert [spans[i]["parent"] for i in counts] == factors
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["localcounts.residues"] == sum(p**2 for p in primes)
+
+
 def test_circle_method_records_value_range_spans():
     """The circle-method job reads ``intervals.value_range_s`` from the range
     calls of the oscillatory integral and of the W-interval; each must go

@@ -74,6 +74,14 @@ class TestCountZerosMod:
         assert count_zeros_mod(f, 7) == 0
         assert count_zeros_mod(f, 25) == brute_zeros(f, 25)
 
+    @pytest.mark.parametrize("p", [60017, 99991])
+    def test_mod_p_squared_past_int64_squares(self, p):
+        # x1 = 0 is the one root mod p and it is singular; f(0) = -p^2, so
+        # its whole fiber of p lifts are roots mod p^2.  Residues mod p^2
+        # square past 2^63 here, so an int64 evaluation of f miscounts.
+        f = parse_polynomial(f"x1^2 - {p * p}", 1)
+        assert count_zeros_mod(f, p * p) == p
+
     def test_non_prime_power_rejected(self):
         f = parse_polynomial("x1", 1)
         with pytest.raises(ValueError):

@@ -195,6 +195,14 @@ class TestStructure:
         est = singular_dimension_estimate(f0, [3, 5, 7])
         assert est.value == 1
 
+    def test_sigma_of_singular_line(self):
+        # grad = (2(x1 - x2), -2(x1 - x2), 2x3) vanishes on the line
+        # x1 = x2, x3 = 0, which has p points over F_p for odd p
+        f0 = parse_polynomial("(x1 - x2)^2 + x3^2", 3)
+        est = singular_dimension_estimate(f0, [3, 5, 7])
+        assert est.value == 1
+        assert est.per_prime == ((3, 1), (5, 1), (7, 1))
+
     def test_sigma_rejects_inhomogeneous(self):
         with pytest.raises(PolynomialError):
             singular_dimension_estimate(parse_polynomial("x1^2 + 1", 1), [3])

@@ -139,6 +139,7 @@ class TestLocalCountInvariants:
         n_p = count_zeros_mod(f, p)
         n_p2 = count_zeros_mod(f, p * p)
         assert n_p2 <= n_p * p**f.n_vars
+        assert n_p2 == brute_histogram(f, p * p)[0]
 
 
     def test_every_modulus_matches_brute_force(self):
