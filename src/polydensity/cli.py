@@ -21,14 +21,7 @@ import sys
 from .counting import BudgetExceededError
 from .expsums import ExpSumTable, big_g, t_f
 from .poly import PolynomialError
-from .reports import (
-    csv_text,
-    emit_report,
-    report_from_dict,
-    to_csv,
-    to_json,
-    to_plot_data,
-)
+from .reports import csv_text, report_from_dict, to_csv, to_json, to_plot_data
 from .verify import (
     ConfigError,
     check_hypotheses,
@@ -43,6 +36,8 @@ EXIT_OK = 0
 EXIT_GATE = 2
 EXIT_BUDGET = 3
 EXIT_CONFIG = 4
+
+FORMATS = ("json", "csv", "plot-data")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,17 +69,12 @@ def _build_parser() -> _Parser:
     p = with_config("verify", "full experiment (counts vs predictions)")
     p.add_argument("--out", help="write the report here instead of stdout")
     p.add_argument(
-        "--format",
-        choices=("json", "csv", "plot-data"),
-        default="json",
-        help="output format (default json)",
+        "--format", choices=FORMATS, default="json", help="output format (default json)"
     )
 
     p = sub.add_parser("report", help="re-emit a saved JSON report")
     p.add_argument("report", help="path to a JSON report from `verify`")
-    p.add_argument(
-        "--format", choices=("json", "csv", "plot-data"), required=True
-    )
+    p.add_argument("--format", choices=FORMATS, required=True)
     p.add_argument("--out", help="write here instead of stdout")
     return parser
 
@@ -107,6 +97,12 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _render(report, fmt: str) -> str:
+    """The report as text in one of ``FORMATS``.  ``to_json`` is looked up
+    in this module at call time, so a wrapper installed here takes effect."""
+    return {"json": to_json, "csv": to_csv, "plot-data": to_plot_data}[fmt](report)
 
 
 def _cmd_check(args) -> int:
@@ -195,12 +191,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_experiment(_load_config(args.config))
-    text = {
-        "json": to_json,
-        "csv": to_csv,
-        "plot-data": to_plot_data,
-    }[args.format](report)
-    _write(text, args.out)
+    _write(_render(report, args.format), args.out)
     if report.metadata.get("gated"):
         print("hypothesis checks failed; no rows computed", file=sys.stderr)
         return EXIT_GATE
@@ -218,15 +209,7 @@ def _cmd_report(args) -> int:
         report = report_from_dict(doc)
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot load report {args.report!r}: {exc}") from exc
-    if args.out:
-        emit_report(report, args.format, args.out)
-    else:
-        _write(
-            {"json": to_json, "csv": to_csv, "plot-data": to_plot_data}[
-                args.format
-            ](report),
-            None,
-        )
+    _write(_render(report, args.format), args.out)
     return EXIT_OK
 
 

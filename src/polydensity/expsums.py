@@ -71,23 +71,12 @@ def t_f(f: MultiPoly, q: int, budget: int = 10**8) -> float:
     """T_f(q) = q^{-n} * sum over a coprime to q of |S_{a,q}|."""
     if q == 1:
         return 1.0
-    n = f.n_vars
-    if q**n * _phi(q) > budget * 8:
-        raise BudgetExceededError("T_f budget exceeded")
     spectrum = _spectrum(residue_histogram(f, q, budget))
-    return float(np.sum(np.abs(spectrum[_coprime_residues(q)]))) / q**n
+    return float(np.sum(np.abs(spectrum[_coprime_residues(q)]))) / q**f.n_vars
 
 
 def _coprime_residues(q: int) -> list[int]:
     return [a for a in range(q) if math.gcd(a, q) == 1]
-
-
-def _phi(q: int) -> int:
-    """Euler's phi, q * prod over p | q of (1 - 1/p), in exact integers."""
-    result = q
-    for p in _factorize(q):
-        result -= result // p
-    return result
 
 
 def _factorize(q: int) -> dict[int, int]:

@@ -23,7 +23,7 @@ factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -123,7 +123,6 @@ def fixed_prime_divisors(f: MultiPoly) -> set[int]:
 class LocalFactor:
     p: int
     value: Fraction
-    raw_counts: dict = field(default_factory=dict)
 
 
 def prime_euler_factor(f: MultiPoly, p: int, budget: int = 10**8) -> LocalFactor:
@@ -131,7 +130,7 @@ def prime_euler_factor(f: MultiPoly, p: int, budget: int = 10**8) -> LocalFactor
     n = f.n_vars
     count = count_zeros_mod(f, p, budget)
     value = (1 - Fraction(count, p**n)) / (1 - Fraction(1, p))
-    return LocalFactor(p=p, value=value, raw_counts={"N_p": count})
+    return LocalFactor(p=p, value=value)
 
 
 def squarefree_euler_factor(f: MultiPoly, p: int, budget: int = 10**8) -> LocalFactor:
@@ -139,7 +138,7 @@ def squarefree_euler_factor(f: MultiPoly, p: int, budget: int = 10**8) -> LocalF
     n = f.n_vars
     count = count_zeros_mod(f, p * p, budget)
     value = 1 - Fraction(count, p ** (2 * n))
-    return LocalFactor(p=p, value=value, raw_counts={"N_p2": count})
+    return LocalFactor(p=p, value=value)
 
 
 def joint_euler_factor(
@@ -157,7 +156,7 @@ def joint_euler_factor(
     count = count_zeros_mod(prod, p, budget)
     r = len(polys)
     value = (1 - Fraction(count, p**n)) / (1 - Fraction(1, p)) ** r
-    return LocalFactor(p=p, value=value, raw_counts={"N_p": count})
+    return LocalFactor(p=p, value=value)
 
 
 @dataclass
@@ -170,7 +169,6 @@ class EulerProductEstimate:
     tail_constant: float
     mode: str
     heuristic: bool = False
-    factors: list[LocalFactor] = field(default_factory=list)
 
 
 class HypothesisViolationError(RuntimeError):
@@ -184,7 +182,6 @@ def euler_product(
     sigma: SigmaEstimate | int | None = None,
     budget: int = 10**8,
     force: bool = False,
-    keep_factors: bool = False,
 ) -> EulerProductEstimate:
     """Truncated singular series over p <= cutoff, with an empirical tail.
 
@@ -213,7 +210,6 @@ def euler_product(
         raise ValueError(f"unknown mode {mode!r}")
 
     value = Fraction(1)
-    factors: list[LocalFactor] = []
     tail_window: list[LocalFactor] = []
     for p in map(int, primes_upto(cutoff)):
         if mode == "prime-density":
@@ -226,8 +222,6 @@ def euler_product(
         tail_window.append(factor)
         if len(tail_window) > 10:
             tail_window.pop(0)
-        if keep_factors:
-            factors.append(factor)
 
     exponent = min(2.0, (n - sigma_val) / 2)
     if exponent <= 1.05:
@@ -247,7 +241,6 @@ def euler_product(
         tail_constant=c,
         mode=mode,
         heuristic=heuristic,
-        factors=factors,
     )
 
 

@@ -660,13 +660,18 @@ def separability_check(f: MultiPoly) -> str:
     return "separable" if g.is_number else "not-separable"
 
 
-def heuristic_irreducibility(f: MultiPoly, primes: Sequence[int] = (2, 3, 5, 7)) -> str:
+#: primes at which a univariate polynomial is tried for irreducibility mod p
+_IRREDUCIBILITY_PRIMES = (2, 3, 5, 7)
+
+
+def heuristic_irreducibility(f: MultiPoly) -> str:
     """Verdict in {'irreducible', 'reducible', 'unknown'}.
 
-    Univariate: f mod p irreducible with full degree for some listed p is a
-    sufficient condition.  Multivariate: falls back to exact factorisation
-    over the rationals (finite-field multivariate factorisation is not
-    available), which settles the verdict either way.
+    Univariate: f mod p irreducible with full degree for some p in
+    ``_IRREDUCIBILITY_PRIMES`` is a sufficient condition.  Multivariate:
+    falls back to exact factorisation over the rationals (finite-field
+    multivariate factorisation is not available), which settles the
+    verdict either way.
     """
     if f.is_constant():
         raise PolynomialError("constant polynomial has no irreducibility verdict")
@@ -675,7 +680,7 @@ def heuristic_irreducibility(f: MultiPoly, primes: Sequence[int] = (2, 3, 5, 7))
     xs = sympy.symbols(f"x1:{f.n_vars + 1}")
     if f.n_vars == 1:
         d = g.degree
-        for p in primes:
+        for p in _IRREDUCIBILITY_PRIMES:
             try:
                 _, factors = sympy.factor_list(expr, xs[0], modulus=p)
             except (sympy.PolynomialError, NotImplementedError):

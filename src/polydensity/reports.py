@@ -161,17 +161,3 @@ def to_plot_data(report: ExperimentReport) -> str:
     for row in report.rows:
         lines.append(f"{math.log(row.P)!r} {row.ratio!r}")
     return "\n".join(lines) + "\n"
-
-
-def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
-    """Write the report in the requested format: json, csv, or plot-data."""
-    if fmt == "json":
-        text = to_json(report)
-    elif fmt == "csv":
-        text = to_csv(report)
-    elif fmt == "plot-data":
-        text = to_plot_data(report)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)

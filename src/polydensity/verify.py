@@ -8,6 +8,7 @@ product for every P in the grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -37,18 +38,22 @@ from .reports import (
     HypothesisReport,
 )
 
-MODES = ("prime", "squarefree", "joint")
-
-_HYPOTHESIS_NAME = {
-    "prime": "theorem-1.2",
-    "squarefree": "theorem-1.4",
-    "joint": "conjecture-A.3",
+#: mode -> (hypothesis name, Euler-product mode)
+MODES = {
+    "prime": ("theorem-1.2", "prime-density"),
+    "squarefree": ("theorem-1.4", "squarefree-density"),
+    "joint": ("conjecture-A.3", "joint"),
 }
 
-_EULER_MODE = {
-    "prime": "prime-density",
-    "squarefree": "squarefree-density",
-    "joint": "joint",
+#: largest residue sweep p^n of the primes behind the sigma estimate
+_SIGMA_BUDGET = 2 * 10**6
+
+#: check status of each irreducibility or separability verdict
+_STATUS = {
+    "irreducible": "pass",
+    "separable": "pass",
+    "reducible": "fail",
+    "not-separable": "fail",
 }
 
 
@@ -56,56 +61,10 @@ class ConfigError(ValueError):
     """Malformed experiment configuration."""
 
 
-def _sigma_primes(n: int, budget: int = 2 * 10**6) -> list[int]:
+def _sigma_primes(n: int) -> list[int]:
     candidates = [3, 5, 7, 11, 13, 17]
-    picked = [p for p in candidates if p**n <= budget]
+    picked = [p for p in candidates if p**n <= _SIGMA_BUDGET]
     return picked[:3] if len(picked) >= 3 else picked[:1] or [3]
-
-
-def _estimate_sigma(
-    f: MultiPoly, sigma_override: int | None
-) -> SigmaEstimate:
-    if sigma_override is not None:
-        return SigmaEstimate(value=int(sigma_override), method="user-supplied")
-    f0 = f.top_degree_part()
-    return singular_dimension_estimate(f0, _sigma_primes(f.n_vars))
-
-
-def _positivity_check(name: str, f0: MultiPoly, box: Box) -> HypothesisCheck:
-    try:
-        certify_above(f0, box, threshold=0)
-        return HypothesisCheck(name, "pass", "top-degree form certified positive on the box")
-    except PositivityError as exc:
-        return HypothesisCheck(name, "fail", str(exc))
-    except CertificationError as exc:
-        return HypothesisCheck(name, "unknown", str(exc))
-
-
-def _margin_check(
-    name: str, n: int, sigma: int, required: float, strict: bool
-) -> HypothesisCheck:
-    margin = n - sigma
-    ok = margin > required if strict else margin >= required
-    rel = ">" if strict else ">="
-    detail = f"n - sigma = {margin}, needs {rel} {required:g}"
-    return HypothesisCheck(name, "pass" if ok else "fail", detail)
-
-
-def _fixed_divisor_check(f: MultiPoly) -> HypothesisCheck:
-    if f.content() != 1:
-        return HypothesisCheck(
-            "no-fixed-prime-divisor",
-            "fail",
-            f"content {f.content()} > 1: every value shares a fixed factor",
-        )
-    divisors = fixed_prime_divisors(f)
-    if divisors:
-        return HypothesisCheck(
-            "no-fixed-prime-divisor",
-            "fail",
-            f"fixed prime divisors {sorted(divisors)}: prime density vanishes",
-        )
-    return HypothesisCheck("no-fixed-prime-divisor", "pass", "")
 
 
 def check_hypotheses(
@@ -116,100 +75,100 @@ def check_hypotheses(
 ) -> HypothesisReport:
     """Run the applicability checks for the requested density formula.
 
-    Modes: 'prime' (irreducibility, singular-locus margin, box positivity,
-    no fixed prime divisor), 'squarefree' (separability and a weaker
-    margin), 'joint' (per-polynomial irreducibility plus pairwise
-    coprimality, positivity, and no fixed divisor of the product).
+    One pass over the polynomials: sigma (user-supplied, else estimated
+    outside joint mode); irreducibility of each, or separability in
+    'squarefree' mode; the singular-locus margin, or pairwise coprimality
+    in 'joint' mode; box positivity of each top-degree form; and, in
+    'prime' and 'joint' modes, no fixed prime divisor of the product.
+    Check names carry a ``-i`` suffix in joint mode only.
     """
     if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {tuple(MODES)}")
     poly_list = list(polys) if isinstance(polys, (list, tuple)) else [polys]
     if not poly_list:
         raise ConfigError("at least one polynomial is required")
-    n = poly_list[0].n_vars
+    joint = mode == "joint"
+    if not joint and len(poly_list) != 1:
+        raise ConfigError(f"mode {mode!r} takes exactly one polynomial")
+    f = poly_list[0]
+    n = f.n_vars
     if box.n_dims != n:
         raise ConfigError(f"box has {box.n_dims} intervals for {n} variables")
-    checks: list[HypothesisCheck] = []
-    sigma: SigmaEstimate | None = None
 
-    if mode == "prime":
-        f = poly_list[0]
-        d = f.degree
-        sigma = _estimate_sigma(f, sigma_override)
-        verdict = heuristic_irreducibility(f)
+    def named(name: str, i: int) -> str:
+        return f"{name}-{i}" if joint else name
+
+    sigma: SigmaEstimate | None = None
+    if sigma_override is not None:
+        sigma = SigmaEstimate(value=int(sigma_override), method="user-supplied")
+    elif not joint:
+        sigma = singular_dimension_estimate(f.top_degree_part(), _sigma_primes(n))
+
+    checks: list[HypothesisCheck] = []
+    for i, g in enumerate(poly_list, start=1):
+        if mode == "squarefree":
+            verdict, name = separability_check(g), "separable"
+        else:
+            verdict, name = heuristic_irreducibility(g), "irreducible"
         checks.append(
             HypothesisCheck(
-                "irreducible",
-                "pass" if verdict == "irreducible" else
-                ("fail" if verdict == "reducible" else "unknown"),
-                f"verdict: {verdict}",
+                named(name, i), _STATUS.get(verdict, "unknown"), f"verdict: {verdict}"
             )
         )
-        required = max(4, (d - 1) * 2 ** (d - 1) + 1)
-        checks.append(
-            _margin_check("singular-locus-margin", n, sigma.value, required, strict=False)
-        )
-        checks.append(_positivity_check("box-positive", f.top_degree_part(), box))
-        checks.append(_fixed_divisor_check(f))
-    elif mode == "squarefree":
-        f = poly_list[0]
-        d = f.degree
-        sigma = _estimate_sigma(f, sigma_override)
-        verdict = separability_check(f)
-        checks.append(
-            HypothesisCheck(
-                "separable",
-                "pass" if verdict == "separable" else "fail",
-                f"verdict: {verdict}",
-            )
-        )
-        required = max(1.0, (d - 1) * 2**d / 3)
-        checks.append(
-            _margin_check("singular-locus-margin", n, sigma.value, required, strict=True)
-        )
-        checks.append(_positivity_check("box-positive", f.top_degree_part(), box))
-    else:
+
+    if joint:
         import sympy
 
-        if sigma_override is not None:
-            sigma = SigmaEstimate(value=int(sigma_override), method="user-supplied")
-        exprs = [f.to_sympy() for f in poly_list]
-        for i, f in enumerate(poly_list, start=1):
-            verdict = heuristic_irreducibility(f)
-            checks.append(
-                HypothesisCheck(
-                    f"irreducible-{i}",
-                    "pass" if verdict == "irreducible" else
-                    ("fail" if verdict == "reducible" else "unknown"),
-                    f"verdict: {verdict}",
-                )
-            )
-        distinct = True
-        for i in range(len(exprs)):
-            for j in range(i + 1, len(exprs)):
-                if not sympy.gcd(exprs[i], exprs[j]).is_number:
-                    distinct = False
+        exprs = [g.to_sympy() for g in poly_list]
+        coprime = all(
+            sympy.gcd(a, b).is_number for a, b in itertools.combinations(exprs, 2)
+        )
         checks.append(
             HypothesisCheck(
                 "pairwise-coprime",
-                "pass" if distinct else "fail",
-                "" if distinct else "two factors share a common component",
+                "pass" if coprime else "fail",
+                "" if coprime else "two factors share a common component",
             )
         )
-        for i, f in enumerate(poly_list, start=1):
-            checks.append(
-                _positivity_check(f"box-positive-{i}", f.top_degree_part(), box)
+    else:
+        d, margin = f.degree, n - sigma.value
+        if mode == "prime":
+            required = max(4, (d - 1) * 2 ** (d - 1) + 1)
+            rel, ok = ">=", margin >= required
+        else:
+            required = max(1.0, (d - 1) * 2**d / 3)
+            rel, ok = ">", margin > required
+        checks.append(
+            HypothesisCheck(
+                "singular-locus-margin",
+                "pass" if ok else "fail",
+                f"n - sigma = {margin}, needs {rel} {required:g}",
             )
-        product = poly_list[0]
-        for f in poly_list[1:]:
-            product = product * f
-        checks.append(_fixed_divisor_check(product))
+        )
 
-    return HypothesisReport(
-        mode=_HYPOTHESIS_NAME[mode],
-        checks=checks,
-        sigma_used=sigma,
-    )
+    for i, g in enumerate(poly_list, start=1):
+        try:
+            certify_above(g.top_degree_part(), box, threshold=0)
+            status, detail = "pass", "top-degree form certified positive on the box"
+        except PositivityError as exc:
+            status, detail = "fail", str(exc)
+        except CertificationError as exc:
+            status, detail = "unknown", str(exc)
+        checks.append(HypothesisCheck(named("box-positive", i), status, detail))
+
+    if mode != "squarefree":
+        product = math.prod(poly_list[1:], start=poly_list[0])
+        content = product.content()
+        if content != 1:
+            detail = f"content {content} > 1: every value shares a fixed factor"
+        elif divisors := fixed_prime_divisors(product):
+            detail = f"fixed prime divisors {sorted(divisors)}: prime density vanishes"
+        else:
+            detail = ""
+        status = "fail" if detail else "pass"
+        checks.append(HypothesisCheck("no-fixed-prime-divisor", status, detail))
+
+    return HypothesisReport(mode=MODES[mode][0], checks=checks, sigma_used=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +190,7 @@ def parse_config(config: dict) -> dict:
             raise ConfigError(f"missing config key {key!r}")
     mode = config["mode"]
     if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        raise ConfigError(f"mode must be one of {tuple(MODES)}, got {mode!r}")
     box_spec = config["box"]
     if not isinstance(box_spec, list) or not box_spec:
         raise ConfigError("box must be a non-empty list of [a, b] pairs")
@@ -287,10 +246,9 @@ def parse_config(config: dict) -> dict:
 
 def euler_for(cfg: dict, sigma: SigmaEstimate | None) -> EulerProductEstimate:
     """The truncated singular series of a parsed config."""
-    polys, mode = cfg["polys"], cfg["mode"]
     return euler_product(
-        polys if mode == "joint" else polys[0],
-        _EULER_MODE[mode],
+        cfg["polys"],
+        MODES[cfg["mode"]][1],
         cutoff=cfg["euler_cutoff"],
         sigma=sigma,
         budget=cfg["budget"],
@@ -301,12 +259,11 @@ def euler_for(cfg: dict, sigma: SigmaEstimate | None) -> EulerProductEstimate:
 def count_for(cfg: dict, P: int) -> tuple[CountResult, str | None]:
     """The exact lattice count of a parsed config at one P, with the row
     error it earns when values were left undecided (else None)."""
-    polys, mode = cfg["polys"], cfg["mode"]
     counted = count_values(
-        polys if mode == "joint" else polys[0],
+        cfg["polys"],
         cfg["box"],
         P,
-        mode=mode,
+        mode=cfg["mode"],
         budget=cfg["budget"],
         threads=cfg["threads"],
     )

@@ -2,6 +2,7 @@
 name must fail here before it fails a benchmark run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import polydensity
@@ -79,6 +80,33 @@ def test_experiment_records_every_layer_span():
     }
     assert ("localcounts.factor", "localcounts.euler_product") in nested
     assert ("localcounts.count_zeros_mod", "localcounts.factor") in nested
+
+
+def test_verify_out_records_emit_span(tmp_path):
+    """``reports.emit_s`` times ``cli.to_json``; ``verify --out`` must reach
+    it through that module attribute."""
+    tracing = _load_tracing()
+    tracer, patcher = tracing.Tracer(), tracing.Patcher()
+    cfg, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "polynomials": ["x1^2 + x2^2"],
+                "box": [[1, 2], [1, 2]],
+                "mode": "squarefree",
+                "P_grid": [10],
+                "euler_cutoff": 12,
+            }
+        )
+    )
+    tracing.install(tracer, patcher, polydensity)
+    try:
+        code = polydensity.cli.main(["verify", str(cfg), "--out", str(out)])
+    finally:
+        patcher.restore()
+    assert code == 0
+    assert "reports.emit" in {rec["name"] for rec in tracer.spans}
+    assert json.loads(out.read_text())["rows"]
 
 
 def test_squarefree_factor_counts_once():

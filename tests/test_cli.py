@@ -12,6 +12,7 @@ import pytest
 import polydensity
 import polydensity.verify
 from polydensity.cli import main
+from polydensity.reports import report_from_dict, to_csv
 
 
 @pytest.fixture
@@ -121,6 +122,15 @@ class TestExpsum:
         assert main(["expsum", cfg, "--q", "97"]) == 3
 
 
+    def test_tf_row_past_old_budget(self, write_config, capsys):
+        cfg = write_config(
+            polynomials=["x1^3 + 2x2^3 + 3x3^3"], box=[[1, 2]] * 3, budget=10**7
+        )
+        assert main(["expsum", cfg, "--q", "200"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert rows[-2].startswith("200,T_f,")
+
+
 class TestCount:
     def test_counts(self, write_config, tmp_path):
         out = tmp_path / "counts.csv"
@@ -226,6 +236,15 @@ class TestReport:
         main(["verify", write_config(P_grid=[20]), "--out", str(saved)])
         assert main(["report", str(saved), "--format", "plot-data"]) == 0
         assert capsys.readouterr().out.startswith("#")
+
+    def test_reemit_csv_to_file(self, write_config, tmp_path):
+        saved, out = tmp_path / "report.json", tmp_path / "report.csv"
+        assert main(["verify", write_config(P_grid=[20]), "--out", str(saved)]) == 0
+        code = main(["report", str(saved), "--format", "csv", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(saved.read_text())
+        with open(out, encoding="utf-8", newline="") as handle:
+            assert handle.read() == to_csv(report_from_dict(doc))
 
     def test_missing_report(self, tmp_path):
         assert main(["report", str(tmp_path / "x.json"), "--format", "csv"]) == 4

@@ -97,6 +97,11 @@ class TestSquarefree:
         for p in (2, 3, 1000003, 2**61 - 1):
             assert is_squarefree(p)
 
+    def test_probable_prime_undecided(self):
+        # the Mersenne prime 2^89 - 1 lies above the deterministic bound
+        with pytest.raises(counting.SquarefreeUnknownError):
+            is_squarefree(2**89 - 1)
+
     def test_large_composites(self):
         p, q = 1000003, 1000033
         assert is_squarefree(p * q)
@@ -232,17 +237,67 @@ class TestCountValues:
             count_values(self.f, self.box, 10**6, mode="prime", budget=10**4)
 
     def test_big_coefficient_path(self):
-        # force values beyond int64: exercise the object-dtype fallback
-        g = parse_polynomial("x1^9 + 2", 1)
-        box = Box([(10**6, 10**6 + 200)])
+        # force values beyond int64: exercise the object-dtype fallback, on
+        # values (~1e20) below the deterministic Miller-Rabin bound
+        g = parse_polynomial("x1^5 + 2", 1)
+        box = Box([(10**4, 10**4 + 200)])
         res = count_values(g, box, 1, mode="prime")
         brute = sum(
             1
-            for x in range(10**6, 10**6 + 201)
-            if sympy.isprime(x**9 + 2)
+            for x in range(10**4, 10**4 + 201)
+            if sympy.isprime(x**5 + 2)
         )
         assert res.count == brute
         assert res.count > 0
+        assert not res.partial
+
+    def test_probable_primes_undecided(self):
+        # above MR_DETERMINISTIC_LIMIT a prime verdict is only probable
+        g = parse_polynomial("x1^3 + 2", 1)
+        box = Box([(150_000_000, 150_002_000)])
+        assert 150_000_000**3 + 2 >= counting.MR_DETERMINISTIC_LIMIT
+        res = count_values(g, box, 1, mode="prime")
+        assert (res.count, res.unknown_values, res.partial) == (0, 39, True)
+        g = parse_polynomial("x1^9 + 2", 1)
+        res = count_values(g, Box([(10**6, 10**6 + 200)]), 1, mode="prime")
+        brute = sum(1 for x in range(10**6, 10**6 + 201) if sympy.isprime(x**9 + 2))
+        assert (res.count, res.unknown_values) == (0, brute)
+
+    def test_joint_undecided_points_counted_once(self):
+        # x and x + 2 both above the bound: a twin pair is one undecided point
+        limit = counting.MR_DETERMINISTIC_LIMIT
+        x = parse_polynomial(f"x1 + {limit}", 1)
+        y = parse_polynomial(f"x1 + {limit + 2}", 1)
+        res = count_values([x, y], Box([(0, 3000)]), 1, mode="joint")
+        twins = sum(
+            1
+            for v in range(limit, limit + 3001)
+            if sympy.isprime(v) and sympy.isprime(v + 2)
+        )
+        assert twins > 0
+        assert (res.count, res.unknown_values) == (0, twins)
+
+    def test_far_window_tests_each_value(self, monkeypatch):
+        # a 2001-value window near 1e16 would sieve base primes up to 1e8
+        twins = [parse_polynomial("x1", 1), parse_polynomial("x1 + 2", 1)]
+        calls = []
+        real = counting._sieve_bools
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "_sieve_bools", counted)
+        near_box = Box([(10**4, 10**4 + 2000)])
+        far_box = Box([(10**16, 10**16 + 2000)])
+        near = count_values(twins, near_box, 1, mode="joint")
+        assert len(calls) == 2  # one table per polynomial
+        far = count_values(twins, far_box, 1, mode="joint")
+        assert len(calls) == 2
+        monkeypatch.setattr(counting, "TABLE_LIMIT", 0)
+        assert near.count == count_values(twins, near_box, 1, mode="joint").count
+        assert far.count == count_values(twins, far_box, 1, mode="joint").count
+        assert far.count > 0
 
     def test_squarefree_unknown_marks_partial(self):
         # x^9 + 1 at x ~ 1e6 has ~1e36 cofactors that defeat the rho budget

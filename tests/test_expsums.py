@@ -97,6 +97,18 @@ class TestTf:
             ) / q ** f.n_vars
             assert abs(t_f(f, q) - direct) < 1e-9
 
+    def test_no_budget_beyond_the_histogram(self):
+        # q^n * phi(q) is 2.16e9 at q = 300 and 2.35e10 at q = 403, far past
+        # the default budget of 1e8; one histogram of q^n residues and one
+        # FFT do the work.  Every S_{a,300} vanishes, since 4 | 300 and
+        # S_{a,4} = 0 for this cubic; 403 = 13 * 31 has no such factor.
+        f = parse_polynomial("x1^3 + 2x2^3 + 3x3^3", 3)
+        for q in (300, 403):
+            table = ExpSumTable.build(f, q)
+            expected = sum(abs(v) for v in table.values.values()) / q**3
+            assert abs(t_f(f, q) - expected) <= 1e-12 * expected
+        assert expected > 0.1
+
     def test_multiplicative(self):
         f = parse_polynomial("x1^3 + 2x1", 1)
         for q1, q2 in [(3, 4), (5, 9), (7, 8), (11, 6)]:

@@ -215,11 +215,6 @@ class TestEulerProduct:
         est = euler_product(f, "squarefree-density", cutoff=200)
         assert abs(float(est.value_exact) - est.value) < 1e-15
 
-    def test_keep_factors(self):
-        f = parse_polynomial("x1^2 + 1", 1)
-        est = euler_product(f, "squarefree-density", cutoff=30, keep_factors=True)
-        assert [fac.p for fac in est.factors] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             euler_product(parse_polynomial("x1", 1), "nonsense", cutoff=10)

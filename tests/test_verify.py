@@ -90,6 +90,39 @@ class TestCheckHypotheses:
         coprime = [c for c in report.checks if c.name == "pairwise-coprime"]
         assert coprime[0].status == "fail"
 
+    def test_check_names_and_order(self):
+        x = parse_polynomial("x1^2 + x2^2", 2)
+        y = parse_polynomial("x1^2 + x2^2 + 2", 2)
+        box = Box([(1, 2), (1, 2)])
+        names = {
+            mode: [c.name for c in check_hypotheses(polys, box, mode).checks]
+            for mode, polys in [("prime", x), ("squarefree", x), ("joint", [x, y])]
+        }
+        assert names == {
+            "prime": [
+                "irreducible",
+                "singular-locus-margin",
+                "box-positive",
+                "no-fixed-prime-divisor",
+            ],
+            "squarefree": ["separable", "singular-locus-margin", "box-positive"],
+            "joint": [
+                "irreducible-1",
+                "irreducible-2",
+                "pairwise-coprime",
+                "box-positive-1",
+                "box-positive-2",
+                "no-fixed-prime-divisor",
+            ],
+        }
+
+    def test_single_polynomial_modes_reject_lists(self):
+        f1 = parse_polynomial("x1", 1)
+        f2 = parse_polynomial("x1 + 2", 1)
+        for mode in ("prime", "squarefree"):
+            with pytest.raises(ConfigError):
+                check_hypotheses([f1, f2], Box([(2, 3)]), mode)
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
             check_hypotheses(parse_polynomial("x1", 1), Box([(2, 3)]), "both")
