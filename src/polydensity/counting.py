@@ -281,19 +281,24 @@ def is_squarefree(m: int) -> bool:
 #: table held in memory; a larger table is never built
 TABLE_LIMIT = 2 * 10**8
 
-#: sieve entries that cost about one value test (~13.5 ns per entry
-#: against ~12 us per ``is_prime`` call)
-_ENTRIES_PER_TEST = 1000
+#: sieve entries that cost about one value test, per mode: ~13.5 ns per
+#: entry against ~12 us per ``is_prime`` call; a square-free entry (only
+#: multiples of p^2 are crossed out) costs ~2 ns against ~0.7 ms per
+#: ``is_squarefree`` call on values past 10^12, which trial-divide to 10^6
+_ENTRIES_PER_TEST = {"prime": 1000, "joint": 1000, "squarefree": 300_000}
 
 #: int64 is safe when |f| provably stays below this
 _INT64_SAFE = 2**62
 
 
 def _fits_int64(polys: Sequence[MultiPoly], ranges: list[range]) -> bool:
-    """Whether every polynomial provably stays below ``_INT64_SAFE`` in
-    absolute value on the integer box spanned by ``ranges``."""
+    """Whether the coordinates and every polynomial provably stay below
+    ``_INT64_SAFE`` in absolute value on the integer box spanned by
+    ``ranges``."""
     radius = [max(abs(r.start), abs(r.stop - 1)) for r in ranges]
-    return all(g.abs_bound(radius) < _INT64_SAFE for g in polys)
+    return max(radius) < _INT64_SAFE and all(
+        g.abs_bound(radius) < _INT64_SAFE for g in polys
+    )
 
 
 @dataclass
@@ -423,7 +428,7 @@ def count_values(
         squarefree = mode == "squarefree"
         windows = [_value_window(g, ranges, squarefree) for g in polys]
         # sieve when a table costs less than testing every lattice value
-        limit = min(TABLE_LIMIT, _ENTRIES_PER_TEST * lattice_points)
+        limit = min(TABLE_LIMIT, _ENTRIES_PER_TEST[mode] * lattice_points)
         if all(
             hi - lo + 1 + math.isqrt(max(abs(lo), abs(hi))) + 1 <= limit
             for lo, hi in windows

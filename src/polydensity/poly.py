@@ -331,13 +331,13 @@ def grid_chunks(ranges: Sequence[range]):
     """Chunks of the grid ``ranges[0] x ranges[1] x ...`` of unit-step
     ranges in C order, as ``(start, coords)``.
 
-    ``coords`` are ``len(ranges)`` broadcastable int64 arrays; their
-    broadcast lists the grid points with linear indices ``start, start + 1,
-    ...``.  The trailing axes stay whole while they fit in one chunk, so
-    per-axis work such as powers is done once per axis; the leading axes
-    share one axis that runs over their combined index.  No chunk holds
-    more than ``RESIDUE_CHUNK`` points, and a grid with an empty range has
-    no chunk.
+    ``coords`` are ``len(ranges)`` broadcastable arrays, int64 for a range
+    inside int64 and of Python ints otherwise; their broadcast lists the
+    grid points with linear indices ``start, start + 1, ...``.  The
+    trailing axes stay whole while they fit in one chunk, so per-axis work
+    such as powers is done once per axis; the leading axes share one axis
+    that runs over their combined index.  No chunk holds more than
+    ``RESIDUE_CHUNK`` points, and a grid with an empty range has no chunk.
     """
     sizes = [len(r) for r in ranges]
     if 0 in sizes:
@@ -349,7 +349,7 @@ def grid_chunks(ranges: Sequence[range]):
         trailing += 1
     leading = k - trailing
     tail = [
-        np.arange(r.start, r.stop, dtype=np.int64).reshape(
+        _shift(r, np.arange(len(r), dtype=np.int64)).reshape(
             (1,) * (1 + i) + (-1,) + (1,) * (trailing - 1 - i)
         )
         for i, r in enumerate(ranges[leading:])
@@ -361,9 +361,16 @@ def grid_chunks(ranges: Sequence[range]):
         index = index.reshape((-1,) + (1,) * trailing)
         head = []
         for r in reversed(ranges[:leading]):
-            head.append(r.start + index % len(r))
+            head.append(_shift(r, index % len(r)))
             index = index // len(r)
         yield lo * block, head[::-1] + tail
+
+
+def _shift(r: range, offsets: np.ndarray) -> np.ndarray:
+    """``r.start + offsets``, as Python ints when ``r`` leaves int64."""
+    if -(2**63) <= r.start and r.stop <= 2**63:
+        return r.start + offsets
+    return r.start + offsets.astype(object)
 
 
 def common_zeros(polys: Sequence["MultiPoly"], p: int):

@@ -1,20 +1,23 @@
 """Adaptive tensor-product quadrature over boxes in up to four dimensions.
 
-Each cell carries two nested Gauss-Legendre estimates (orders 7 and 11 per
-axis); their difference is the error estimate, and the cell with the worst
-estimate is bisected along its widest axis until the requested tolerance or
-the evaluation budget is reached.  Integrands are vectorised callables over
-coordinate arrays and may be complex-valued.
+Each cell carries two Gauss-Legendre estimates (orders 7 and 11 per axis);
+their difference is the error estimate.  Cells are arrays ``lo, hi`` of
+shape ``(cells, n)``, refined in rounds: each round bisects along its widest
+axis every cell of the smallest largest-error-first prefix whose errors
+cover the excess over the tolerance.  A round's cells take one integrand
+call per rule and chunk of at most ``poly.RESIDUE_CHUNK`` points.
+Integrands are vectorised callables over broadcastable coordinate arrays
+with a leading cell axis, and may be complex-valued.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import poly
 
 _LOW_ORDER = 7
 _HIGH_ORDER = 11
@@ -28,96 +31,86 @@ class QuadratureResult:
     converged: bool = True
 
 
-def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+_X_LOW, _W_LOW = np.polynomial.legendre.leggauss(_LOW_ORDER)
+_X_HIGH, _W_HIGH = np.polynomial.legendre.leggauss(_HIGH_ORDER)
 
 
-_X_LOW, _W_LOW = _nodes(_LOW_ORDER)
-_X_HIGH, _W_HIGH = _nodes(_HIGH_ORDER)
+def _tensor_rule(func, lo, hi, x, w) -> np.ndarray:
+    """The tensor rule (x, w) on each cell [lo[i], hi[i]], one integrand
+    call per chunk of at most ``poly.RESIDUE_CHUNK`` points."""
+    m, n = lo.shape
+    k = len(x)
+    step = max(1, poly.RESIDUE_CHUNK // k**n)
+    out = np.empty(m, dtype=complex)
+    for s in range(0, m, step):
+        a, b = lo[s : s + step], hi[s : s + step]
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        grids, weight = [], 1.0
+        for i in range(n):
+            shape = (-1,) + (1,) * i + (k,) + (1,) * (n - 1 - i)
+            grids.append((mid[:, i, None] + half[:, i, None] * x).reshape(shape))
+            weight = weight * (half[:, i, None] * w).reshape(shape)
+        vals = func(grids) * weight
+        out[s : s + step] = np.sum(vals.reshape(len(a), -1), axis=1)
+    return out
 
 
-def _cell_estimates(func, cell) -> tuple[complex, complex, int]:
-    """(low-order estimate, high-order estimate, evaluation count)."""
-    n = len(cell)
-    low = _tensor_rule(func, cell, _X_LOW, _W_LOW)
-    high = _tensor_rule(func, cell, _X_HIGH, _W_HIGH)
-    return low, high, _LOW_ORDER**n + _HIGH_ORDER**n
-
-
-def _tensor_rule(func, cell, x, w) -> complex:
-    n = len(cell)
-    axes_pts = []
-    axes_wts = []
-    for a, b in cell:
-        half = (b - a) / 2.0
-        axes_pts.append((a + b) / 2.0 + half * x)
-        axes_wts.append(half * w)
-    grids = np.meshgrid(*axes_pts, indexing="ij", sparse=True)
-    vals = func(grids)
-    weight = axes_wts[0].reshape((-1,) + (1,) * (n - 1))
-    for i in range(1, n):
-        weight = weight * axes_wts[i].reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))
-    return complex(np.sum(vals * weight))
+def _estimates(func, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """(high-order estimate, error estimate) of each cell."""
+    low = _tensor_rule(func, lo, hi, _X_LOW, _W_LOW)
+    high = _tensor_rule(func, lo, hi, _X_HIGH, _W_HIGH)
+    return high, np.abs(high - low)
 
 
 def integrate_box(
     func: Callable[[Sequence[np.ndarray]], np.ndarray],
     bounds: Sequence[tuple[float, float]],
     tol: float,
-    pre_subdivisions: Sequence[int] | int = 1,
+    pre_subdivisions: int = 1,
     max_evaluations: int = 4_000_000,
 ) -> QuadratureResult:
-    """Integrate a vectorised integrand over a box to absolute tolerance."""
+    """Integrate a vectorised integrand over a box to absolute tolerance,
+    from a grid of ``pre_subdivisions`` cells per axis.  The last round may
+    pass ``max_evaluations`` by at most one pair of children."""
     n = len(bounds)
-    if isinstance(pre_subdivisions, int):
-        pre_subdivisions = [pre_subdivisions] * n
-    axes = []
-    for (a, b), k in zip(bounds, pre_subdivisions):
-        edges = np.linspace(float(a), float(b), max(1, int(k)) + 1)
-        axes.append(list(zip(edges[:-1], edges[1:])))
-    cells = [tuple(c) for c in itertools.product(*axes)]
+    k = max(1, int(pre_subdivisions))
+    edges = np.array([np.linspace(float(a), float(b), k + 1) for a, b in bounds])
+    index = np.indices((k,) * n).reshape(n, -1).T
+    axes = np.arange(n)
+    lo, hi = edges[axes, index], edges[axes, index + 1]
+    per_cell = _LOW_ORDER**n + _HIGH_ORDER**n
 
-    total_evals = 0
-    heap = []  # (-error, counter, cell, high_estimate)
-    counter = 0
-    value = 0.0 + 0.0j
-    error = 0.0
-    for cell in cells:
-        low, high, ev = _cell_estimates(func, cell)
-        total_evals += ev
-        err = abs(high - low)
-        heapq.heappush(heap, (-err, counter, cell, high))
-        value += high
-        error += err
-        counter += 1
+    high, err = _estimates(func, lo, hi)
+    evaluations = len(lo) * per_cell
+    error = float(err.sum())
+    while error > tol and evaluations < max_evaluations:
+        order = np.argsort(-err, kind="stable")
+        cover = np.cumsum(err[order])
+        count = min(
+            len(order),
+            int(np.searchsorted(cover, error - tol)) + 1,
+            -(-(max_evaluations - evaluations) // (2 * per_cell)),
+        )
+        split, kept = order[:count], order[count:]
+        a, b = lo[split], hi[split]
+        rows, axis = np.arange(count), np.argmax(b - a, axis=1)
+        child_lo, child_hi = np.concatenate([a, a]), np.concatenate([b, b])
+        mid = (a[rows, axis] + b[rows, axis]) / 2.0
+        child_hi[rows, axis] = child_lo[rows + count, axis] = mid
+        child_high, child_err = _estimates(func, child_lo, child_hi)
+        evaluations += len(child_lo) * per_cell
+        lo = np.concatenate([lo[kept], child_lo])
+        hi = np.concatenate([hi[kept], child_hi])
+        high = np.concatenate([high[kept], child_high])
+        err = np.concatenate([err[kept], child_err])
+        error = float(err.sum())
 
-    while error > tol and total_evals < max_evaluations:
-        neg_err, _, cell, high = heapq.heappop(heap)
-        value -= high
-        error += neg_err
-        widths = [b - a for a, b in cell]
-        axis = widths.index(max(widths))
-        a, b = cell[axis]
-        mid = (a + b) / 2.0
-        for sub in ((a, mid), (mid, b)):
-            child = list(cell)
-            child[axis] = sub
-            low, high, ev = _cell_estimates(func, tuple(child))
-            total_evals += ev
-            err = abs(high - low)
-            heapq.heappush(heap, (-err, counter, tuple(child), high))
-            value += high
-            error += err
-            counter += 1
-
-    # recompute totals once to shed float accumulation drift
-    value = sum(item[3] for item in heap)
-    error = sum(-item[0] for item in heap)
-    if abs(complex(value).imag) == 0:
-        value = complex(value).real
+    value = complex(high.sum())
+    if value.imag == 0:
+        value = value.real
     return QuadratureResult(
         value=value,
         abs_error_estimate=error,
-        evaluations=total_evals,
+        evaluations=evaluations,
         converged=error <= tol,
     )

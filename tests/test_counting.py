@@ -277,6 +277,21 @@ class TestCountValues:
         assert twins > 0
         assert (res.count, res.unknown_values) == (0, twins)
 
+    def test_lattice_box_past_int64(self):
+        # coordinates past int64 count on the object-dtype path, as the
+        # same values do when the constant sits in the polynomial
+        limit = counting.MR_DETERMINISTIC_LIMIT
+        twins = [parse_polynomial("x1", 1), parse_polynomial("x1 + 2", 1)]
+        far = count_values(twins, Box([(limit, limit + 3000)]), 1, mode="joint")
+        shifted = [parse_polynomial(f"x1 + {limit + c}", 1) for c in (0, 2)]
+        near = count_values(shifted, Box([(0, 3000)]), 1, mode="joint")
+        assert far.unknown_values > 0
+        assert (far.count, far.unknown_values) == (near.count, near.unknown_values)
+        # a polynomial free of the far coordinate counts on that path too
+        f = parse_polynomial("x2", 2)
+        res = count_values(f, Box([(2**63, 2**63 + 1), (0, 100)]), 1, mode="prime")
+        assert (res.count, res.unknown_values) == (2 * 25, 0)
+
     def test_far_window_tests_each_value(self, monkeypatch):
         # a 2001-value window near 1e16 would sieve base primes up to 1e8
         twins = [parse_polynomial("x1", 1), parse_polynomial("x1 + 2", 1)]
@@ -298,6 +313,32 @@ class TestCountValues:
         assert near.count == count_values(twins, near_box, 1, mode="joint").count
         assert far.count == count_values(twins, far_box, 1, mode="joint").count
         assert far.count > 0
+
+    def test_squarefree_path_by_cost(self, monkeypatch):
+        # near 2e12 each is_squarefree call trial-divides to 1e6, so a
+        # 1.6e8-entry table beats 1681 value tests; near 2e14 a 1.3e8-entry
+        # table costs more than 16 value tests
+        f = parse_polynomial("x1^2 + x2^2", 2)
+        near = Box([(10**6, 10**6 + 40)] * 2)
+        far = Box([(10**7, 10**7 + 3)] * 2)
+        calls = []  # square-free tables; value tests sieve their trial primes
+        real = counting._sieve_bools
+
+        def counted(lo, hi, squarefree=False):
+            calls.extend([(lo, hi)] if squarefree else [])
+            return real(lo, hi, squarefree)
+
+        monkeypatch.setattr(counting, "_sieve_bools", counted)
+        table = count_values(f, near, 1, mode="squarefree")
+        assert len(calls) == 1
+        per_value = count_values(f, far, 1, mode="squarefree")
+        assert len(calls) == 1
+        with monkeypatch.context() as m:
+            m.setattr(counting, "TABLE_LIMIT", 0)
+            assert count_values(f, near, 1, mode="squarefree").count == table.count
+        monkeypatch.setitem(counting._ENTRIES_PER_TEST, "squarefree", 10**9)
+        assert count_values(f, far, 1, mode="squarefree").count == per_value.count
+        assert len(calls) == 2
 
     def test_squarefree_unknown_marks_partial(self):
         # x^9 + 1 at x ~ 1e6 has ~1e36 cofactors that defeat the rho budget

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +24,7 @@ from polydensity import (
     parse_polynomial,
     value_range,
 )
-from polydensity import intervals
+from polydensity import integrals, intervals, poly, quadrature
 
 
 class TestIntervals:
@@ -107,13 +108,65 @@ class TestQuadrature:
         assert abs(result.value) < 1e-10
 
     def test_budget_reported(self):
-        result = integrate_box(
-            lambda g: np.sin(50.0 * g[0]) / (g[0] + 1e-3),
-            [(0.0, 1.0)],
-            1e-16,
-            max_evaluations=2000,
-        )
-        assert not result.converged
+        # the last round may pass the budget by one pair of children
+        for bounds, budget in (([(0.0, 1.0)], 2000), ([(0.0, 1.0)] * 2, 20000)):
+            n = len(bounds)
+            result = integrate_box(
+                lambda g: np.sin(50.0 * g[0]) / (g[0] + 1e-3),
+                bounds,
+                1e-16,
+                max_evaluations=budget,
+            )
+            assert not result.converged
+            assert result.evaluations <= budget + 2 * (7**n + 11**n)
+
+
+class TestBatchedRefinement:
+    """The five circle-method integrals I(B; gamma) of x1^2 + x2^2 on
+    [1, 2]^2 at the benchmark's seed-0 gammas."""
+
+    GAMMAS = (0.0, 0.5, 3.0, 10.0, 14.0)
+
+    def setup_method(self):
+        self.f0 = parse_polynomial("x1^2 + x2^2", 2)
+        self.box = Box([(1, 2), (1, 2)])
+
+    def traced(self, gamma):
+        """(result, points of each integrand call)."""
+        sizes = []
+
+        def counted(func, *args, **kwargs):
+            def wrapped(grids):
+                sizes.append(math.prod(np.broadcast_shapes(*(g.shape for g in grids))))
+                return func(grids)
+
+            return quadrature.integrate_box(wrapped, *args, **kwargs)
+
+        with mock.patch.object(integrals, "integrate_box", counted):
+            result = oscillatory_integral(self.f0, self.box, gamma)
+        return result, sizes
+
+    def test_evaluation_counts(self):
+        counts = [
+            oscillatory_integral(self.f0, self.box, gamma).evaluations
+            for gamma in self.GAMMAS
+        ]
+        assert counts == [170, 2040, 48960, 506600, 1002320]
+
+    def test_one_call_per_rule_and_round(self):
+        # one cell at a time took 11792 integrand calls
+        result, sizes = self.traced(14.0)
+        assert result.converged and result.evaluations == 1002320
+        assert sum(sizes) == result.evaluations
+        assert len(sizes) <= 24
+
+    def test_calls_stay_within_chunk(self):
+        whole, _ = self.traced(3.0)
+        with mock.patch.object(poly, "RESIDUE_CHUNK", 1000):
+            chunked, sizes = self.traced(3.0)
+        assert max(sizes) <= 1000
+        assert len(sizes) > 24
+        assert chunked == whole
 
 
 class TestOscillatoryIntegral:
@@ -197,9 +250,13 @@ class TestLiF:
         assert abs(single.value - joint.value) < 1e-6 * single.value
 
     def test_single_is_joint_of_one(self):
+        # Li_f(3 * [9/25, 1]) for f = x1 is li(3) - li(27/25)
         f = parse_polynomial("x1", 1)
         box = Box([("9/25", 1)])
-        assert li_f(f, box, 3).value == li_joint([f], box, 3).value == 4.072361388154909
+        single = li_f(f, box, 3)
+        assert single.value == li_joint([f], box, 3).value
+        exact = float(mpmath.li(3) - mpmath.li(mpmath.mpf(27) / 25))
+        assert abs(single.value - exact) <= single.abs_error_estimate
 
     def test_joint_certifies_against_exact_p(self):
         # f0(P t) = 2.6 t drops to 1 at t = 1/2.6 > 9/25: the integrand

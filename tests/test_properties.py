@@ -17,6 +17,7 @@ from polydensity import (
     complete_exp_sum,
     count_values,
     count_zeros_mod,
+    integrate_box,
     is_prime,
     is_prime_certified,
     is_squarefree,
@@ -271,6 +272,7 @@ class TestGridChunks:
     )
     @example([(0, 7), (-3, 0), (2, 5)], 4)
     @example([(-5, 7)], 1)
+    @example([(2**63 - 3, 5), (-(2**63) - 2, 4)], 6)
     def test_chunks_cover_grid_once_in_c_order(self, axes, limit):
         ranges = [range(start, start + size) for start, size in axes]
         with mock.patch.object(poly, "RESIDUE_CHUNK", limit):
@@ -311,6 +313,60 @@ def exact_value(f, point):
             term *= x**e
         total += term
     return total
+
+
+@st.composite
+def box_integrands(draw):
+    """A box inside [-1, 1]^n, n <= 3, and the terms {exponents: (re, im)}
+    of a polynomial of degree <= 13 per axis with integer or Gaussian
+    integer coefficients, which both tensor rules integrate exactly."""
+    n = draw(st.integers(1, 3))
+    gaussian = draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        exps = tuple(draw(st.integers(0, 13)) for _ in range(n))
+        imag = draw(st.integers(-20, 20)) if gaussian else 0
+        terms[exps] = (draw(st.integers(-20, 20)), imag)
+    axes = []
+    for _ in range(n):
+        a = draw(st.fractions(-1, 1, max_denominator=8))
+        axes.append((a, draw(st.fractions(a, 1, max_denominator=8))))
+    return terms, axes
+
+
+class TestQuadratureInvariants:
+    @settings(deadline=None, max_examples=60)
+    @given(box_integrands(), st.integers(1, 4))
+    def test_polynomials_integrate_exactly(self, drawn, pre_subdivisions):
+        terms, axes = drawn
+
+        def integrand(grids):
+            total = 0.0
+            for exps, (re, im) in terms.items():
+                term = complex(re, im) if im else float(re)
+                for x, e in zip(grids, exps):
+                    term = term * x**e
+                total = total + term
+            return total
+
+        exact = [Fraction(0), Fraction(0)]
+        for exps, coeffs in terms.items():
+            volume = Fraction(1)
+            for (a, b), e in zip(axes, exps):
+                volume *= (b ** (e + 1) - a ** (e + 1)) / (e + 1)
+            for part, c in enumerate(coeffs):
+                exact[part] += c * volume
+        result = integrate_box(
+            integrand,
+            [(float(a), float(b)) for a, b in axes],
+            1e-9,
+            pre_subdivisions=pre_subdivisions,
+        )
+        assert result.converged
+        assert result.evaluations == pre_subdivisions ** len(axes) * (
+            7 ** len(axes) + 11 ** len(axes)
+        )
+        assert abs(result.value - complex(*map(float, exact))) <= 1e-9
 
 
 class TestBisectionInvariants:
