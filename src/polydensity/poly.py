@@ -9,14 +9,18 @@ assumes a nonzero polynomial.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-import sympy
+
+if TYPE_CHECKING:
+    import sympy
 
 
 class PolynomialError(ValueError):
@@ -291,6 +295,8 @@ class MultiPoly:
         )
 
     def to_sympy(self) -> sympy.Expr:
+        import sympy
+
         xs = sympy.symbols(f"x1:{self.n_vars + 1}")
         if self.n_vars == 1:
             xs = (xs[0],) if isinstance(xs, tuple) else (xs,)
@@ -653,12 +659,151 @@ def singular_dimension_estimate(
 # ---------------------------------------------------------------------------
 # Separability and irreducibility
 # ---------------------------------------------------------------------------
+#
+# Each verdict is first sought on a line.  Restrict f to x = a + t*b, giving
+# F(t) over Z, and reduce mod a prime p that does not divide lc F = f_top(b),
+# so that F keeps the degree of f mod p.  A factorisation f = g*h over Q
+# restricts to F = G*H, and f_top(b) = g_top(b)*h_top(b) keeps deg G = deg g
+# and deg H = deg h mod p.  Hence:
+#
+# - F irreducible mod p  =>  f irreducible;
+# - gcd(F, F') = 1 mod p  =>  f square-free (g^2 | f gives G^2 | F);
+# - gcd(F_1, F_2) = 1 mod p on one line  =>  f_1, f_2 share no factor.
+#
+# A certificate only ever says yes.  A verdict that no line and prime
+# settles falls back to sympy, which is imported only then.
+
+#: lines x = a + t*b tried by the certificates, drawn from these seeds
+_CERTIFICATE_LINES = ("line 0", "line 1", "line 2", "line 3")
+
+#: primes at which each restriction is reduced; near 1000, so a square-free
+#: restriction rarely gains a repeated factor mod p (p | its discriminant)
+_CERTIFICATE_PRIMES = (1009, 1013, 1019, 1021, 1031, 1033)
+
+
+def _tmul(F: list[int], G: list[int]) -> list[int]:
+    """Product of two coefficient lists (constant term first) over Z."""
+    out = [0] * (len(F) + len(G) - 1)
+    for i, c in enumerate(F):
+        for j, e in enumerate(G):
+            out[i + j] += c * e
+    return out
+
+
+def _fp(F: list[int], p: int) -> list[int]:
+    """F reduced mod p, without trailing zero coefficients."""
+    F = [c % p for c in F]
+    while F and F[-1] == 0:
+        F.pop()
+    return F
+
+
+def _fp_rem(F: list[int], G: list[int], p: int) -> list[int]:
+    """F mod G over F_p; G comes from :func:`_fp` and is nonzero."""
+    F = [c % p for c in F]
+    dg = len(G) - 1
+    inv = pow(G[-1], -1, p)
+    for k in range(len(F) - 1, dg - 1, -1):
+        q = F[k] * inv % p
+        if q:
+            for j, c in enumerate(G):
+                F[k - dg + j] = (F[k - dg + j] - q * c) % p
+    return _fp(F[:dg], p)
+
+
+def _fp_powmod(F: list[int], e: int, M: list[int], p: int) -> list[int]:
+    """F**e mod M over F_p, by square-and-multiply."""
+    result, base = [1], _fp_rem(F, M, p)
+    while e:
+        if e & 1:
+            result = _fp_rem(_tmul(result, base), M, p)
+        base = _fp_rem(_tmul(base, base), M, p)
+        e >>= 1
+    return result
+
+
+def _fp_gcd(F: list[int], G: list[int], p: int) -> list[int]:
+    """A gcd of F and G over F_p (not made monic)."""
+    while G:
+        F, G = G, _fp_rem(F, G, p)
+    return F
+
+
+def _fp_coprime(F: list[int], G: list[int], p: int) -> bool:
+    return len(_fp_gcd(F, G, p)) == 1
+
+
+def _fp_irreducible(F: list[int], p: int) -> bool:
+    """Rabin's test in Ben-Or's form: F of degree d is irreducible over F_p
+    iff it has no factor of degree k <= d/2, i.e. iff t^(p^k) - t is
+    coprime to F for every such k."""
+    h = [0, 1]
+    for _ in range((len(F) - 1) // 2):
+        h = _fp_powmod(h, p, F, p)
+        shifted = h + [0] * (2 - len(h))
+        shifted[1] -= 1
+        if not _fp_coprime(F, _fp(shifted, p), p):
+            return False
+    return True
+
+
+def restrict_to_line(f: MultiPoly, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients over Z, constant term first, of ``F(t) = f(a + t*b)``;
+    the last one is ``f_top(b)``, which may be 0."""
+    F = [0] * (f.degree + 1)
+    for exps, coeff in f._terms.items():
+        term = [coeff]
+        for ai, bi, e in zip(a, b, exps):
+            for _ in range(e):
+                term = _tmul(term, [ai, bi])
+        for k, c in enumerate(term):
+            F[k] += c
+    return F
+
+
+def _restrictions(polys: Sequence[MultiPoly]):
+    """``(p, [F_i mod p])`` for each certificate line and prime at which
+    every restriction ``F_i`` keeps the degree of its polynomial."""
+    n = polys[0].n_vars
+    for seed in _CERTIFICATE_LINES:
+        rng = random.Random(seed)
+        a = [rng.randint(-50, 50) for _ in range(n)]
+        b = [rng.randint(1, 50) for _ in range(n)]
+        lines = [restrict_to_line(f, a, b) for f in polys]
+        for p in _CERTIFICATE_PRIMES:
+            if all(F[-1] % p for F in lines):
+                yield p, [_fp(F, p) for F in lines]
+
+
+def certify_irreducible(f: MultiPoly) -> bool:
+    """True only if some line's restriction is irreducible mod its prime,
+    which proves ``f`` irreducible over Q."""
+    return any(_fp_irreducible(F, p) for p, (F,) in _restrictions([f]))
+
+
+def certify_separable(f: MultiPoly) -> bool:
+    """True only if some line's restriction ``F`` has ``gcd(F, F') = 1``
+    mod its prime, which proves ``f`` square-free over Q."""
+    return any(
+        _fp_coprime(F, _fp([k * c for k, c in enumerate(F)][1:], p), p)
+        for p, (F,) in _restrictions([f])
+    )
+
+
+def certify_coprime(f: MultiPoly, g: MultiPoly) -> bool:
+    """True only if the restrictions of ``f`` and ``g`` to some line are
+    coprime mod its prime, which proves that they share no factor."""
+    return any(_fp_coprime(F, G, p) for p, (F, G) in _restrictions([f, g]))
 
 
 def separability_check(f: MultiPoly) -> str:
     """'separable' iff gcd(f, all partials) over Q is constant."""
     if f.is_constant():
         raise PolynomialError("constant polynomial has no separability verdict")
+    if certify_separable(f):
+        return "separable"
+    import sympy
+
     expr = f.primitive_part().to_sympy()
     xs = sorted(expr.free_symbols, key=lambda s: s.name)
     g = expr
@@ -667,41 +812,21 @@ def separability_check(f: MultiPoly) -> str:
     return "separable" if g.is_number else "not-separable"
 
 
-#: primes at which a univariate polynomial is tried for irreducibility mod p
-_IRREDUCIBILITY_PRIMES = (2, 3, 5, 7)
-
-
 def heuristic_irreducibility(f: MultiPoly) -> str:
     """Verdict in {'irreducible', 'reducible', 'unknown'}.
 
-    Univariate: f mod p irreducible with full degree for some p in
-    ``_IRREDUCIBILITY_PRIMES`` is a sufficient condition.  Multivariate:
-    falls back to exact factorisation over the rationals (finite-field
-    multivariate factorisation is not available), which settles the
-    verdict either way.
+    'irreducible' when a line certifies it; otherwise exact factorisation
+    over the rationals, which settles the verdict either way unless sympy
+    gives up.
     """
     if f.is_constant():
         raise PolynomialError("constant polynomial has no irreducibility verdict")
-    g = f.primitive_part()
-    expr = g.to_sympy()
+    if certify_irreducible(f):
+        return "irreducible"
+    import sympy
+
+    expr = f.primitive_part().to_sympy()
     xs = sympy.symbols(f"x1:{f.n_vars + 1}")
-    if f.n_vars == 1:
-        d = g.degree
-        for p in _IRREDUCIBILITY_PRIMES:
-            try:
-                _, factors = sympy.factor_list(expr, xs[0], modulus=p)
-            except (sympy.PolynomialError, NotImplementedError):
-                continue
-            nontrivial = [
-                (base, mult)
-                for base, mult in factors
-                if sympy.degree(base, xs[0]) > 0
-            ]
-            total_deg = sum(
-                sympy.degree(base, xs[0]) * mult for base, mult in nontrivial
-            )
-            if total_deg == d and len(nontrivial) == 1 and nontrivial[0][1] == 1:
-                return "irreducible"
     try:
         _, factors = sympy.factor_list(expr, *xs)
     except (sympy.PolynomialError, NotImplementedError):
@@ -713,3 +838,15 @@ def heuristic_irreducibility(f: MultiPoly) -> str:
     if sum(m for _, m in nontrivial) > 1:
         return "reducible"
     return "unknown"
+
+
+def pairwise_coprime(polys: Sequence[MultiPoly]) -> bool:
+    """Whether no two of ``polys`` share a nonconstant factor over Q."""
+    for f, g in itertools.combinations(polys, 2):
+        if certify_coprime(f, g):
+            continue
+        import sympy
+
+        if not sympy.gcd(f.to_sympy(), g.to_sympy()).is_number:
+            return False
+    return True

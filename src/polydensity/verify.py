@@ -8,7 +8,6 @@ product for every P in the grid.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from fractions import Fraction
@@ -27,6 +26,7 @@ from .poly import (
     PolynomialError,
     SigmaEstimate,
     heuristic_irreducibility,
+    pairwise_coprime,
     parse_polynomial,
     separability_check,
     singular_dimension_estimate,
@@ -117,12 +117,7 @@ def check_hypotheses(
         )
 
     if joint:
-        import sympy
-
-        exprs = [g.to_sympy() for g in poly_list]
-        coprime = all(
-            sympy.gcd(a, b).is_number for a, b in itertools.combinations(exprs, 2)
-        )
+        coprime = pairwise_coprime(poly_list)
         checks.append(
             HypothesisCheck(
                 "pairwise-coprime",

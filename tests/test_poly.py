@@ -1,19 +1,32 @@
 """Polynomial core: parsing, arithmetic, evaluation, structure analysis."""
 
+import os
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polydensity
 from polydensity import (
     Box,
     MultiPoly,
     ParseError,
     PolynomialError,
+    pairwise_coprime,
     parse_polynomial,
     separability_check,
     heuristic_irreducibility,
     singular_dimension_estimate,
+)
+from polydensity.poly import (
+    certify_coprime,
+    certify_irreducible,
+    certify_separable,
+    restrict_to_line,
 )
 
 
@@ -219,3 +232,97 @@ class TestStructure:
             == "irreducible"
         )
         assert heuristic_irreducibility(parse_polynomial("x1^2 - x2^2", 2)) == "reducible"
+
+
+class TestLineCertificates:
+    def test_restriction(self):
+        # f(a + t*b) for f = x1^2 + 3*x1*x2 - 5, a = (1, 2), b = (3, -1)
+        f = parse_polynomial("x1^2 + 3x1x2 - 5", 2)
+        assert restrict_to_line(f, [1, 2], [3, -1]) == [2, 21, 0]
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [("x1^2 + x2^2 + x3^2 + x4^2", 4), ("x1^2 + 1", 1), ("x1x2 + 1", 2),
+         ("x1^3 + 2x2^3 + 3x3^3", 3), ("x1 + 2", 1)],
+    )
+    def test_certifies_common_irreducibles(self, text, n):
+        f = parse_polynomial(text, n)
+        assert certify_irreducible(f)
+        assert certify_separable(f)
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [("x1^2 - x2^2", 2), ("x1^2 - 1", 1), ("(x1 + x2)(x1 - 3x2 + 1)", 2),
+         ("x1^4 + 1", 1)],
+    )
+    def test_never_certifies_reducible_or_split_everywhere(self, text, n):
+        # x1^4 + 1 is irreducible but splits mod every prime
+        assert not certify_irreducible(parse_polynomial(text, n))
+
+    def test_separable_and_coprime_refusals(self):
+        assert not certify_separable(parse_polynomial("(x1 + x2)^2 (x1 - 1)", 2))
+        f, g = parse_polynomial("x1(x2 + 1)", 2), parse_polynomial("x1 x2 + x1", 2)
+        assert not certify_coprime(f, g)
+        assert not pairwise_coprime([parse_polynomial("x1 + 3", 2), f, g])
+        assert pairwise_coprime([parse_polynomial("x1", 1), parse_polynomial("x1 + 2", 1)])
+
+    def test_fallback_without_deprecation_warnings(self):
+        # the mod-p sympy factorisation the certificate replaced warned
+        # "Ordered comparisons with modular integers" on these inputs
+        cases = {"x1^2 + x1": "reducible", "x1^3 - x1": "reducible",
+                 "x1^4 + 1": "irreducible"}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            verdicts = {
+                text: heuristic_irreducibility(parse_polynomial(text, 1))
+                for text in cases
+            }
+        assert verdicts == cases
+        assert [str(w.message) for w in caught] == []
+
+
+def _run_isolated(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; its stdout."""
+    src = str(Path(polydensity.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        check=True,
+    )
+    return proc.stdout.strip()
+
+
+class TestSympyImportedOnlyAsFallback:
+    def test_package_import(self):
+        out = _run_isolated(
+            "import sys, polydensity, polydensity.cli; print('sympy' in sys.modules)"
+        )
+        assert out == "False"
+
+    def test_gate_of_gated_workloads(self):
+        out = _run_isolated(
+            "import sys\n"
+            "from polydensity import Box, check_hypotheses, parse_polynomial\n"
+            "cases = [\n"
+            "    (['x1^2 + x2^2 + x3^2 + x4^2'], [(1, 2)] * 4, 'prime'),\n"
+            "    (['x1^2 + x2^2'], [(1, 2)] * 2, 'squarefree'),\n"
+            "    (['x1', 'x1 + 2'], [(10000, 10001)], 'joint'),\n"
+            "]\n"
+            "for texts, box, mode in cases:\n"
+            "    polys = [parse_polynomial(t, len(box)) for t in texts]\n"
+            "    assert check_hypotheses(polys, Box(box), mode).all_passed\n"
+            "print('sympy' in sys.modules)"
+        )
+        assert out == "False"
+
+    def test_fallback_imports_sympy(self):
+        out = _run_isolated(
+            "import sys\n"
+            "from polydensity import heuristic_irreducibility, parse_polynomial\n"
+            "print(heuristic_irreducibility(parse_polynomial('x1^4 + 1', 1)),"
+            " 'sympy' in sys.modules)"
+        )
+        assert out == "irreducible True"

@@ -6,6 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +61,27 @@ def separable_polynomials(draw):
         terms[key] = terms.get(key, 0) + coeff
     assume(any(terms.values()))
     return MultiPoly(n, terms)
+
+
+@st.composite
+def low_degree_polynomials(draw, n, max_degree=4, max_terms=5, max_coeff=20):
+    """Nonconstant polynomials in ``n`` variables of total degree at most
+    ``max_degree``."""
+    monomials = [
+        e for e in itertools.product(range(max_degree + 1), repeat=n)
+        if sum(e) <= max_degree
+    ]
+    lead = draw(st.sampled_from(monomials[1:]))
+    rest = draw(st.lists(st.sampled_from(monomials), max_size=max_terms - 1))
+    coeffs = st.integers(-max_coeff, max_coeff).filter(lambda c: c != 0)
+    return MultiPoly(n, {e: draw(coeffs) for e in [lead, *rest]})
+
+
+def polynomial_tuples(k):
+    """``k`` polynomials of :func:`low_degree_polynomials` in one ``n <= 3``."""
+    return st.integers(1, 3).flatmap(
+        lambda n: st.tuples(*[low_degree_polynomials(n)] * k)
+    )
 
 
 def brute_histogram(f, q):
@@ -399,3 +421,32 @@ class TestBisectionInvariants:
             except (PositivityError, CertificationError):
                 return
         assert certified and min(values) > threshold
+
+
+class TestLineCertificates:
+    """A line certificate only ever says yes, and never wrongly."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(polynomial_tuples(3))
+    def test_products_never_certified(self, polys):
+        g, h, k = polys
+        assert not poly.certify_irreducible(g * h)
+        assert not poly.certify_separable(g * g * h)
+        assert not poly.certify_coprime(g * h, g * k)
+
+    @settings(deadline=None, max_examples=80)
+    @given(polynomial_tuples(2))
+    @example((parse_polynomial("x1^2 + x2^2 + 1", 2), parse_polynomial("x1 - 2x2", 2)))
+    def test_settled_verdicts_agree_with_sympy(self, polys):
+        f, g = polys
+        expr = f.primitive_part().to_sympy()
+        if poly.certify_irreducible(f):
+            _, factors = sympy.factor_list(expr)
+            assert [m for base, m in factors if not base.is_number] == [1]
+        if poly.certify_separable(f):
+            common = expr
+            for x in expr.free_symbols:
+                common = sympy.gcd(common, sympy.diff(expr, x))
+            assert common.is_number
+        if poly.certify_coprime(f, g):
+            assert sympy.gcd(f.to_sympy(), g.to_sympy()).is_number
