@@ -30,7 +30,7 @@ print("squarefree factor at 3 =", squarefree_euler_factor(f, 3).value)
 
 # Sanity anchor: for f = x1 the squarefree product is 1/zeta(2) = 6/pi^2.
 linear = parse_polynomial("x1", 1)
-est = euler_product(linear, "squarefree-density", cutoff=10**4)
+est = euler_product(linear, "squarefree", cutoff=10**4)
 print("\nproduct over p <= 1e4  =", est.value)
 print("6/pi^2                 =", 6 / math.pi**2)
 print("tail bound             =", est.tail_bound)

@@ -19,7 +19,6 @@ config = {
     "mode": "prime",
     "P_grid": [10, 18, 25],
     "euler_cutoff": 100,
-    "tolerances": {},
 }
 
 report = run_experiment(config)

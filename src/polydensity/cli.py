@@ -9,7 +9,8 @@ Subcommands:
   report     re-emit a saved JSON report as csv or plot-data
 
 Exit codes: 0 success, 2 hypothesis gate failed, 3 partial results (budget
-abort, undecided values or an unconverged integral), 4 configuration error.
+abort, undecided values, or an unconverged or uncertified integral), 4
+configuration error.
 """
 
 from __future__ import annotations
@@ -138,10 +139,12 @@ def _cmd_densities(args) -> int:
     rows = []
     code = EXIT_OK
     for P in cfg["P_grid"]:
-        li_value, _, unconverged = li_for(cfg, P)
-        if unconverged:
-            print(unconverged, file=sys.stderr)
+        li_value, _, li_problem = li_for(cfg, P)
+        if li_problem:
+            print(li_problem, file=sys.stderr)
             code = EXIT_BUDGET
+        if li_value is None:
+            continue
         rows.append(
             [P, repr(euler.value), repr(euler.tail_bound), repr(li_value),
              repr(euler.value * li_value)]

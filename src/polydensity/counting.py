@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -305,10 +304,6 @@ def _fits_int64(polys: Sequence[MultiPoly], ranges: list[range]) -> bool:
 class CountResult:
     count: int
     lattice_points: int
-    P: int
-    elapsed: float
-    mode: str  # "prime" | "squarefree" | "joint"
-    partial: bool = False
     unknown_values: int = 0
 
 
@@ -401,7 +396,6 @@ def count_values(
 ) -> CountResult:
     """Exact count of lattice points of P*box where f takes prime /
     square-free / jointly prime values."""
-    start_time = time.perf_counter()
     polys = list(f) if isinstance(f, (list, tuple)) else [f]
     if mode not in ("prime", "squarefree", "joint"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -416,7 +410,7 @@ def count_values(
     ranges = box.lattice_ranges(P)
     lattice_points = box.lattice_point_count(P)
     if lattice_points == 0:
-        return CountResult(0, 0, P, time.perf_counter() - start_time, mode)
+        return CountResult(0, 0)
     if lattice_points > budget:
         raise BudgetExceededError(
             f"{lattice_points} lattice points exceed budget {budget}"
@@ -443,12 +437,4 @@ def count_values(
     for chunk_count, chunk_unknown in _map_lazily(work, chunks, threads):
         count += chunk_count
         unknown += chunk_unknown
-    return CountResult(
-        count=count,
-        lattice_points=lattice_points,
-        P=P,
-        elapsed=time.perf_counter() - start_time,
-        mode=mode,
-        partial=unknown > 0,
-        unknown_values=unknown,
-    )
+    return CountResult(count, lattice_points, unknown)

@@ -22,6 +22,11 @@ from .intervals import value_range
 from .localcounts import residue_histogram
 from .poly import Box, MultiPoly, grid_chunks
 
+#: most residues, lattice points or grid entries one sum sweeps
+SWEEP_BUDGET = 10**8
+#: longest integer interval a W- or Q-sum sieves
+INTERVAL_BUDGET = 10**9
+
 
 def _spectrum(hist: np.ndarray) -> np.ndarray:
     """S_{a,q} for a = 0..q-1 from the value histogram of f mod q.
@@ -32,9 +37,7 @@ def _spectrum(hist: np.ndarray) -> np.ndarray:
     return np.conj(np.fft.fft(hist))
 
 
-def complete_exp_sum(
-    f: MultiPoly, a: int, q: int, budget: int = 10**8
-) -> complex:
+def complete_exp_sum(f: MultiPoly, a: int, q: int) -> complex:
     """S_{a,q} = sum over (Z/qZ)^n of e(a f(x) / q)."""
     if q < 1:
         raise ValueError("q must be positive")
@@ -42,7 +45,7 @@ def complete_exp_sum(
         return complex(1.0)
     if math.gcd(a, q) != 1:
         raise ValueError(f"gcd({a}, {q}) != 1")
-    return complex(_spectrum(residue_histogram(f, q, budget))[a % q])
+    return complex(_spectrum(residue_histogram(f, q, SWEEP_BUDGET))[a % q])
 
 
 @dataclass
@@ -179,13 +182,13 @@ def _divisors(q: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_values(f: MultiPoly, box: Box, P: int, budget: int):
+def _lattice_values(f: MultiPoly, box: Box, P: int):
     """The values of f on Z^n intersect P*B, one flat array per grid chunk.
 
     Raises ArithmeticError unless int64 provably holds every value.
     """
     total = box.lattice_point_count(P)
-    if total > budget:
+    if total > SWEEP_BUDGET:
         raise BudgetExceededError(f"{total} lattice points exceed budget")
     ranges = box.lattice_ranges(P)
     if not _fits_int64([f], ranges):
@@ -216,43 +219,37 @@ def q_interval(f: MultiPoly, box: Box, P: int) -> tuple[int, int]:
     )
 
 
-def s_alpha(
-    f: MultiPoly, box: Box, P: int, alpha: float, budget: int = 10**8
-) -> complex:
+def s_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
     """S(alpha) = sum over Z^n intersect P*B of e(alpha f(x))."""
     return complex(
         sum(
             np.sum(np.exp(2j * np.pi * alpha * values.astype(np.float64)))
-            for values in _lattice_values(f, box, P, budget)
+            for values in _lattice_values(f, box, P)
         )
     )
 
 
-def w_alpha(
-    f: MultiPoly, box: Box, P: int, alpha: float, budget: int = 10**9
-) -> complex:
+def w_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
     """W(alpha) = sum of e(alpha p) over primes p in the W-interval."""
     lo, hi = w_interval(f, box, P)
-    if hi - lo > budget:
+    if hi - lo > INTERVAL_BUDGET:
         raise BudgetExceededError("W-interval too long")
     primes = primes_in_interval(max(lo, 2), hi)
     return complex(np.sum(np.exp(2j * np.pi * alpha * primes.astype(np.float64))))
 
 
-def q_alpha_interval(lo: int, hi: int, alpha: float, budget: int = 10**9) -> complex:
+def q_alpha_interval(lo: int, hi: int, alpha: float) -> complex:
     """Q(alpha) over an explicit integer interval of square-free m != 0
     (m and -m agree); 0 for an interval holding no such m."""
-    if hi - lo > budget:
+    if hi - lo > INTERVAL_BUDGET:
         raise BudgetExceededError("Q-interval too long")
     ms = lo + np.flatnonzero(_sieve_bools(lo, hi, squarefree=True))
     return complex(np.sum(np.exp(2j * np.pi * alpha * ms.astype(np.float64))))
 
 
-def q_alpha(
-    f: MultiPoly, box: Box, P: int, alpha: float, budget: int = 10**9
-) -> complex:
+def q_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
     lo, hi = q_interval(f, box, P)
-    return q_alpha_interval(lo, hi, alpha, budget)
+    return q_alpha_interval(lo, hi, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +257,14 @@ def q_alpha(
 # ---------------------------------------------------------------------------
 
 
-def orthogonality_count(
-    f: MultiPoly, box: Box, P: int, budget: int = 10**8
-) -> int:
+def orthogonality_count(f: MultiPoly, box: Box, P: int) -> int:
     """pi_f(P*B) recovered from (1/N) sum_j S(j/N) conj(W(j/N)).
 
     With N exceeding every frequency, discrete orthogonality of e(.) makes
     the Riemann sum exact; the result is rounded to the nearest integer and
     a residual of 1e-6 or more raises ArithmeticError.
     """
-    chunks = list(_lattice_values(f, box, P, budget))
+    chunks = list(_lattice_values(f, box, P))
     if not chunks:
         return 0
     values = np.concatenate(chunks)
@@ -279,7 +274,7 @@ def orthogonality_count(
     m_max = max(int(values.max()), int(primes.max()) if len(primes) else 0)
     shift = -min(v_min, 0)
     n_grid = m_max + shift + 1
-    if n_grid > budget:
+    if n_grid > SWEEP_BUDGET:
         raise BudgetExceededError("orthogonality grid too large")
     hist_v = np.bincount(values + shift, minlength=n_grid)
     hist_p = np.bincount(primes + shift, minlength=n_grid) if len(primes) else (
@@ -298,16 +293,14 @@ def orthogonality_count(
     return count
 
 
-def observatory_check(
-    f: MultiPoly, p: int, budget: int = 10**8
-) -> tuple[float, int]:
+def observatory_check(f: MultiPoly, p: int) -> tuple[float, int]:
     """Both sides of sum_{a in (Z/pZ)*} S_{a,p} = -p^n + p * N_p.
 
     Returns (lhs real part, rhs); raises ArithmeticError unless the
     imaginary part of the lhs and the lhs-rhs gap are below 1e-6 * p^n.
     """
     n = f.n_vars
-    hist = residue_histogram(f, p, budget)
+    hist = residue_histogram(f, p, SWEEP_BUDGET)
     lhs = complex(np.sum(_spectrum(hist)[1:]))
     rhs = -(p**n) + p * int(hist[0])
     tol = 1e-6 * p**n

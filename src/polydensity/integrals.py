@@ -19,21 +19,24 @@ from .intervals import certify_above, value_range
 from .poly import Box, MultiPoly, PolynomialError
 from .quadrature import QuadratureResult, integrate_box
 
+#: absolute quadrature tolerance of I(B; gamma)
+OSCILLATORY_TOL = 1e-9
+#: absolute quadrature tolerance of Li_f(P*B); the unscaled box gets LI_TOL / P^n
+LI_TOL = 1e-8
+#: absolute quadrature tolerance of each log-moment J(k)
+MOMENT_TOL = 1e-10
+
 
 def _float_bounds(box: Box) -> list[tuple[float, float]]:
     return [(float(a), float(b)) for a, b in box.intervals]
 
 
-def oscillatory_integral(
-    f0: MultiPoly, box: Box, gamma: float, tol: float = 1e-9
-) -> QuadratureResult:
+def oscillatory_integral(f0: MultiPoly, box: Box, gamma: float) -> QuadratureResult:
     """I(B; gamma) = integral over B of e(gamma * f0(x)) dx."""
     if not f0.is_homogeneous():
         raise PolynomialError("oscillatory integral expects the top-degree form")
     if f0.n_vars > 4:
         raise PolynomialError("desk scale: at most 4 variables")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     def integrand(grids):
         return np.exp(2j * np.pi * gamma * f0.evaluate_array(grids))
@@ -50,24 +53,20 @@ def oscillatory_integral(
     return integrate_box(
         integrand,
         _float_bounds(box),
-        tol,
+        OSCILLATORY_TOL,
         pre_subdivisions=per_axis,
         max_evaluations=20_000_000,
     )
 
 
-def li_f(
-    f: MultiPoly, box: Box, P: float, tol: float = 1e-8
-) -> QuadratureResult:
+def li_f(f: MultiPoly, box: Box, P: float) -> QuadratureResult:
     """Li_f(P*B) = integral over P*B of dx / log f0(x); see :func:`li_joint`."""
     if f.is_constant():
         raise PolynomialError("constant polynomial")
-    return li_joint([f], box, P, tol)
+    return li_joint([f], box, P)
 
 
-def li_joint(
-    polys: Sequence[MultiPoly], box: Box, P: float, tol: float = 1e-8
-) -> QuadratureResult:
+def li_joint(polys: Sequence[MultiPoly], box: Box, P: float) -> QuadratureResult:
     """Integral over P*B of dx / prod_i log f_{i0}(x) (joint prime mode).
 
     Requires every f_{i0}(P*B) within (1, infinity), certified by interval
@@ -88,7 +87,7 @@ def li_joint(
             denom = denom * (d * log_p + np.log(f0.evaluate_array(grids)))
         return 1.0 / denom
 
-    result = integrate_box(integrand, _float_bounds(box), tol / max(pn, 1.0))
+    result = integrate_box(integrand, _float_bounds(box), LI_TOL / max(pn, 1.0))
     return QuadratureResult(
         value=result.value * pn,
         abs_error_estimate=result.abs_error_estimate * pn,
@@ -97,9 +96,7 @@ def li_joint(
     )
 
 
-def log_moment(
-    f0: MultiPoly, box: Box, k: int, tol: float = 1e-10
-) -> QuadratureResult:
+def log_moment(f0: MultiPoly, box: Box, k: int) -> QuadratureResult:
     """J(k) = integral over B of (log f0(t))^k dt, for 0 <= k <= 40."""
     if k < 0 or k > 40:
         raise ValueError("k must be in [0, 40]")
@@ -110,12 +107,10 @@ def log_moment(
     def integrand(grids):
         return np.log(f0.evaluate_array(grids)) ** k
 
-    return integrate_box(integrand, _float_bounds(box), tol)
+    return integrate_box(integrand, _float_bounds(box), MOMENT_TOL)
 
 
-def laurent_expansion(
-    f: MultiPoly, box: Box, P: float, K: int, tol: float = 1e-10
-) -> tuple[float, float]:
+def laurent_expansion(f: MultiPoly, box: Box, P: float, K: int) -> tuple[float, float]:
     """Truncated (log P)^{-1} expansion of Li_f(P*B) with K terms.
 
     Returns (value, bound) where bound covers both the dropped tail of the
@@ -135,7 +130,7 @@ def laurent_expansion(
     value = (vol / d) * pn / log_p
     moment_error = 0.0
     for k in range(2, K + 1):
-        moment = log_moment(f0, box, k - 1, tol)
+        moment = log_moment(f0, box, k - 1)
         value += (
             pn * (-1) ** (k - 1) * moment.value / (d**k * log_p**k)
         )

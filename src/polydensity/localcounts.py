@@ -126,11 +126,9 @@ class LocalFactor:
 
 
 def prime_euler_factor(f: MultiPoly, p: int, budget: int = 10**8) -> LocalFactor:
-    """(1 - N_p / p^n) / (1 - 1/p) with N_p = #{f = 0 over F_p^n}."""
-    n = f.n_vars
-    count = count_zeros_mod(f, p, budget)
-    value = (1 - Fraction(count, p**n)) / (1 - Fraction(1, p))
-    return LocalFactor(p=p, value=value)
+    """(1 - N_p / p^n) / (1 - 1/p) with N_p = #{f = 0 over F_p^n}: the joint
+    factor of the one polynomial f."""
+    return joint_euler_factor([f], p, budget)
 
 
 def squarefree_euler_factor(f: MultiPoly, p: int, budget: int = 10**8) -> LocalFactor:
@@ -163,11 +161,7 @@ def joint_euler_factor(
 class EulerProductEstimate:
     value: float
     value_exact: Fraction
-    cutoff: int
     tail_bound: float
-    decay_exponent: float
-    tail_constant: float
-    mode: str
     heuristic: bool = False
 
 
@@ -185,36 +179,36 @@ def euler_product(
 ) -> EulerProductEstimate:
     """Truncated singular series over p <= cutoff, with an empirical tail.
 
-    Modes: 'prime-density' (needs n - sigma_f >= 3 for convergence, else
-    force), 'squarefree-density', 'joint'.  The tail estimate is
-    C * sum_{p > cutoff} p^{-e} with e = min(2, (n - sigma_f)/2) and C fitted
-    on the deviation of the last ten computed factors from 1; when that
-    exponent would make the sum divergent the tail falls back to e = 2 and
-    the estimate is flagged heuristic.
+    Modes: 'prime' (needs n - sigma_f >= 3 for convergence, else force),
+    'squarefree', 'joint'; a prime factor is the joint factor of the one
+    polynomial.  The tail estimate is C * sum_{p > cutoff} p^{-e} with
+    e = min(2, (n - sigma_f)/2) and C fitted on the deviation of the last
+    ten computed factors from 1; when that exponent would make the sum
+    divergent the tail falls back to e = 2 and the estimate is flagged
+    heuristic.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
+    if mode not in ("prime", "squarefree", "joint"):
+        raise ValueError(f"unknown mode {mode!r}")
     polys = list(f) if isinstance(f, (list, tuple)) else [f]
+    if mode != "joint" and len(polys) != 1:
+        raise ValueError(f"{mode} mode takes a single polynomial")
     n = polys[0].n_vars
     sigma_val = _sigma_value(sigma)
     heuristic = False
-    if mode == "prime-density":
-        if n - sigma_val < 3:
-            if not force:
-                raise HypothesisViolationError(
-                    f"n - sigma_f = {n - sigma_val} < 3; pass force=True for a "
-                    "heuristic truncation"
-                )
-            heuristic = True
-    elif mode not in ("squarefree-density", "joint"):
-        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "prime" and n - sigma_val < 3:
+        if not force:
+            raise HypothesisViolationError(
+                f"n - sigma_f = {n - sigma_val} < 3; pass force=True for a "
+                "heuristic truncation"
+            )
+        heuristic = True
 
     value = Fraction(1)
     tail_window: list[LocalFactor] = []
     for p in map(int, primes_upto(cutoff)):
-        if mode == "prime-density":
-            factor = prime_euler_factor(polys[0], p, budget)
-        elif mode == "squarefree-density":
+        if mode == "squarefree":
             factor = squarefree_euler_factor(polys[0], p, budget)
         else:
             factor = joint_euler_factor(polys, p, budget)
@@ -235,11 +229,7 @@ def euler_product(
     return EulerProductEstimate(
         value=float(value),
         value_exact=value,
-        cutoff=cutoff,
         tail_bound=tail,
-        decay_exponent=exponent,
-        tail_constant=c,
-        mode=mode,
         heuristic=heuristic,
     )
 

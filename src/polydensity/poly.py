@@ -618,9 +618,11 @@ class SigmaEstimate:
     agreement: bool = True
 
 
-def singular_dimension_estimate(
-    f0: MultiPoly, primes: Sequence[int], budget: int = 10**8
-) -> SigmaEstimate:
+#: largest residue sweep p^n of one prime of the sigma estimate
+SIGMA_BUDGET = 10**8
+
+
+def singular_dimension_estimate(f0: MultiPoly, primes: Sequence[int]) -> SigmaEstimate:
     """Estimate sigma_f by counting common zeros of grad(f_0) over F_p.
 
     For an affine cone of dimension s the count N_p grows like p^s, so
@@ -637,8 +639,8 @@ def singular_dimension_estimate(
     n = f0.n_vars
     per_prime: list[tuple[int, int]] = []
     for p in primes:
-        if p ** n > budget:
-            raise PolynomialError(f"budget exceeded: {p}^{n} > {budget}")
+        if p ** n > SIGMA_BUDGET:
+            raise PolynomialError(f"budget exceeded: {p}^{n} > {SIGMA_BUDGET}")
         count = sum(len(points[0]) for points in common_zeros(grad, p))
         if count == 0:
             est = 0

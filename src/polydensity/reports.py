@@ -7,21 +7,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 from .poly import SigmaEstimate
-
-CSV_COLUMNS = [
-    "P",
-    "lattice_points",
-    "empirical",
-    "predicted",
-    "ratio",
-    "euler_value",
-    "euler_tail",
-    "li_value",
-    "li_error",
-]
 
 
 @dataclass
@@ -68,6 +56,10 @@ class ExperimentRow:
     euler_tail: float
     li_value: float
     li_error: float
+
+
+#: one CSV column per row field, in field order
+CSV_COLUMNS = [f.name for f in fields(ExperimentRow)]
 
 
 @dataclass
@@ -124,7 +116,7 @@ def to_json(report: ExperimentReport) -> str:
     return json.dumps(report.to_dict(), indent=2, sort_keys=True)
 
 
-def csv_text(header: list[str], rows: list[list]) -> str:
+def csv_text(header: list[str], rows: list[list | tuple]) -> str:
     """RFC 4180 text of a header line and rows, CRLF-terminated."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -134,23 +126,8 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def to_csv(report: ExperimentReport) -> str:
-    return csv_text(
-        CSV_COLUMNS,
-        [
-            [
-                row.P,
-                row.lattice_points,
-                row.empirical,
-                repr(row.predicted),
-                repr(row.ratio),
-                repr(row.euler_value),
-                repr(row.euler_tail),
-                repr(row.li_value),
-                repr(row.li_error),
-            ]
-            for row in report.rows
-        ],
-    )
+    """One CSV line per row; the csv module writes a float as its repr."""
+    return csv_text(CSV_COLUMNS, [astuple(row) for row in report.rows])
 
 
 def to_plot_data(report: ExperimentReport) -> str:

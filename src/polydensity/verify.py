@@ -38,12 +38,16 @@ from .reports import (
     HypothesisReport,
 )
 
-#: mode -> (hypothesis name, Euler-product mode)
+#: mode -> name of the density formula whose hypotheses the gate checks
 MODES = {
-    "prime": ("theorem-1.2", "prime-density"),
-    "squarefree": ("theorem-1.4", "squarefree-density"),
-    "joint": ("conjecture-A.3", "joint"),
+    "prime": "theorem-1.2",
+    "squarefree": "theorem-1.4",
+    "joint": "conjecture-A.3",
 }
+
+#: the keys of an experiment config; ``parse_config`` refuses any other
+_REQUIRED_KEYS = ("polynomials", "box", "mode", "P_grid", "euler_cutoff")
+_OPTIONAL_KEYS = ("sigma_override", "force", "threads", "budget")
 
 #: largest residue sweep p^n of the primes behind the sigma estimate
 _SIGMA_BUDGET = 2 * 10**6
@@ -163,7 +167,7 @@ def check_hypotheses(
         status = "fail" if detail else "pass"
         checks.append(HypothesisCheck("no-fixed-prime-divisor", status, detail))
 
-    return HypothesisReport(mode=MODES[mode][0], checks=checks, sigma_used=sigma)
+    return HypothesisReport(mode=MODES[mode], checks=checks, sigma_used=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +175,25 @@ def check_hypotheses(
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_config(config: dict) -> dict:
     """Validate the experiment config and parse its polynomial/box fields.
 
     Returns a dict with keys: polys, box, mode, P_grid, euler_cutoff,
-    tolerances, sigma_override, force, threads, budget.
+    sigma_override, force, threads, budget.  An unknown key is refused, so
+    a misspelt option never goes unnoticed.
     """
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    required = ("polynomials", "box", "mode", "P_grid", "euler_cutoff")
-    for key in required:
+    unknown = sorted(set(config).difference(_REQUIRED_KEYS, _OPTIONAL_KEYS))
+    if unknown:
+        known = _REQUIRED_KEYS + _OPTIONAL_KEYS
+        raise ConfigError(f"unknown config keys {unknown}; known: {known}")
+    for key in _REQUIRED_KEYS:
         if key not in config:
             raise ConfigError(f"missing config key {key!r}")
     mode = config["mode"]
@@ -193,11 +206,15 @@ def parse_config(config: dict) -> dict:
         box = Box(
             (Fraction(str(a)), Fraction(str(b))) for a, b in box_spec
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad box: {exc}") from exc
     n = box.n_dims
     texts = config["polynomials"]
-    if not isinstance(texts, list) or not texts:
+    if (
+        not isinstance(texts, list)
+        or not texts
+        or not all(isinstance(t, str) for t in texts)
+    ):
         raise ConfigError("polynomials must be a non-empty list of strings")
     if mode != "joint" and len(texts) != 1:
         raise ConfigError(f"mode {mode!r} takes exactly one polynomial")
@@ -209,33 +226,36 @@ def parse_config(config: dict) -> dict:
     if (
         not isinstance(p_grid, list)
         or not p_grid
-        or not all(isinstance(p, int) and p >= 1 for p in p_grid)
+        or not all(_is_int(p) and p >= 1 for p in p_grid)
     ):
         raise ConfigError("P_grid must be a non-empty list of positive integers")
     cutoff = config["euler_cutoff"]
-    if not isinstance(cutoff, int) or cutoff < 2:
+    if not _is_int(cutoff) or cutoff < 2:
         raise ConfigError("euler_cutoff must be an integer >= 2")
-    tolerances = config.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances must be an object")
     sigma_override = config.get("sigma_override")
-    if sigma_override is not None and not isinstance(sigma_override, int):
-        raise ConfigError("sigma_override must be an integer")
+    if sigma_override is not None and not (
+        _is_int(sigma_override) and 0 <= sigma_override <= n
+    ):
+        raise ConfigError(f"sigma_override must be null or an integer in [0, {n}]")
+    force = config.get("force", False)
+    if not isinstance(force, bool):
+        raise ConfigError("force must be true or false")
     threads = config.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
+    if not _is_int(threads) or threads < 1:
         raise ConfigError("threads must be a positive integer")
     budget = config.get("budget", 10**9)
+    if not _is_int(budget) or budget < 1:
+        raise ConfigError("budget must be a positive integer")
     return {
         "polys": polys,
         "box": box,
         "mode": mode,
         "P_grid": list(p_grid),
         "euler_cutoff": cutoff,
-        "tolerances": dict(tolerances),
         "sigma_override": sigma_override,
-        "force": bool(config.get("force", False)),
+        "force": force,
         "threads": threads,
-        "budget": int(budget),
+        "budget": budget,
     }
 
 
@@ -243,7 +263,7 @@ def euler_for(cfg: dict, sigma: SigmaEstimate | None) -> EulerProductEstimate:
     """The truncated singular series of a parsed config."""
     return euler_product(
         cfg["polys"],
-        MODES[cfg["mode"]][1],
+        cfg["mode"],
         cutoff=cfg["euler_cutoff"],
         sigma=sigma,
         budget=cfg["budget"],
@@ -262,23 +282,24 @@ def count_for(cfg: dict, P: int) -> tuple[CountResult, str | None]:
         budget=cfg["budget"],
         threads=cfg["threads"],
     )
-    if counted.partial or counted.unknown_values:
+    if counted.unknown_values:
         return counted, f"P={P}: {counted.unknown_values} values undecided"
     return counted, None
 
 
-def li_for(cfg: dict, P: int) -> tuple[float, float, str | None]:
+def li_for(cfg: dict, P: int) -> tuple[float | None, float, str | None]:
     """(value, error estimate, row error) of the archimedean factor of a
-    parsed config at one P; the row error says Li_f did not converge."""
+    parsed config at one P.  The row error says Li_f did not converge, or
+    that f0 > 1 on P*B, which Li_f needs, was not certified; the value is
+    then None, since there is no prediction to compare with."""
     polys, box, mode = cfg["polys"], cfg["box"], cfg["mode"]
     if mode == "squarefree":
         # square-free density is per lattice point, not per log
         return float(box.lattice_point_count(P)), 0.0, None
-    li_tol = float(cfg["tolerances"].get("li_tol", 1e-8))
-    if mode == "prime":
-        li = li_f(polys[0], box, P, tol=li_tol)
-    else:
-        li = li_joint(polys, box, P, tol=li_tol)
+    try:
+        li = li_f(polys[0], box, P) if mode == "prime" else li_joint(polys, box, P)
+    except (CertificationError, PositivityError) as exc:
+        return None, 0.0, f"P={P}: Li_f not certified: {exc}"
     error = None if li.converged else f"P={P}: Li_f did not converge"
     return li.value, li.abs_error_estimate, error
 
@@ -289,8 +310,10 @@ def run_experiment(config: dict) -> ExperimentReport:
     Budget failures abort individual rows (recorded in ``row_errors`` and
     flagged ``partial``), never the whole run.  A row whose count left
     values undecided, or whose Li_f quadrature did not converge, is kept,
-    recorded in ``row_errors`` and flagged ``partial`` as well.  A failing
-    hypothesis gate yields a report with no rows unless ``force`` is set.
+    recorded in ``row_errors`` and flagged ``partial`` as well; a row whose
+    Li_f could not be certified is recorded and flagged, then dropped.  A
+    failing hypothesis gate yields a report with no rows unless ``force`` is
+    set.
     """
     start = time.monotonic()
     cfg = parse_config(config)
@@ -326,11 +349,13 @@ def run_experiment(config: dict) -> ExperimentReport:
     for P in cfg["P_grid"]:
         try:
             counted, undecided = count_for(cfg, P)
-            li_value, li_error, unconverged = li_for(cfg, P)
-            for error in (undecided, unconverged):
+            li_value, li_error, li_problem = li_for(cfg, P)
+            for error in (undecided, li_problem):
                 if error:
                     report.partial = True
                     report.row_errors.append(error)
+            if li_value is None:
+                continue
             predicted = euler.value * li_value
             ratio = counted.count / predicted if predicted else math.inf
             report.rows.append(

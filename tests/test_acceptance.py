@@ -110,7 +110,6 @@ def test_05_univariate_prime_baseline():
         "mode": "prime",
         "P_grid": [10**6],
         "euler_cutoff": 100,
-        "tolerances": {},
         "force": True,  # the variable-count margin is vacuous here
     }
     report = run_experiment(config)
@@ -121,7 +120,7 @@ def test_05_univariate_prime_baseline():
 
 def test_06_squarefree_baseline():
     f = parse_polynomial("x1", 1)
-    est = euler_product(f, "squarefree-density", cutoff=10**4)
+    est = euler_product(f, "squarefree", cutoff=10**4)
     product_ok = abs(est.value - 6 / math.pi**2) < 1e-4
     counted = count_values(f, Box([(2, 3)]), 10**6, mode="squarefree")
     density = counted.count / counted.lattice_points
@@ -137,7 +136,7 @@ def test_06_squarefree_baseline():
 def test_07_multivariate_squarefree():
     f = parse_polynomial("x1^2 + x2^2", 2)
     box = Box([(1, 2), (1, 2)])
-    est = euler_product(f, "squarefree-density", cutoff=100)
+    est = euler_product(f, "squarefree", cutoff=100)
     counted = count_values(f, box, 10**3, mode="squarefree")
     density = counted.count / counted.lattice_points
     rel = abs(density / est.value - 1)
@@ -151,7 +150,6 @@ def test_08_multivariate_prime():
         "mode": "prime",
         "P_grid": [10, 18, 25],
         "euler_cutoff": 100,
-        "tolerances": {},
     }
     report = run_experiment(config)
     devs = [abs(row.ratio - 1) for row in report.rows]
@@ -173,7 +171,6 @@ def test_09_joint_primes():
         "mode": "joint",
         "P_grid": [10**5],
         "euler_cutoff": 10**4,
-        "tolerances": {},
     }
     report = run_experiment(config)
     row = report.rows[0]
@@ -225,7 +222,6 @@ def test_11_determinism_across_threads():
         "mode": "squarefree",
         "P_grid": [50, 120],
         "euler_cutoff": 50,
-        "tolerances": {},
     }
     reports = [
         run_experiment(dict(base, threads=threads)) for threads in (1, 4)

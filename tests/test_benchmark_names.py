@@ -117,7 +117,7 @@ def test_squarefree_factor_counts_once():
     f = parse_polynomial("x1^2 + x2^2", 2)
     tracing.install(tracer, patcher, polydensity)
     try:
-        polydensity.verify.euler_product(f, "squarefree-density", 30)
+        polydensity.verify.euler_product(f, "squarefree", 30)
     finally:
         patcher.restore()
     spans = tracer.spans

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,9 +11,17 @@ from pathlib import Path
 import pytest
 
 import polydensity
+import polydensity.intervals
 import polydensity.verify
 from polydensity.cli import main
-from polydensity.reports import report_from_dict, to_csv
+from polydensity.reports import (
+    ExperimentReport,
+    ExperimentRow,
+    HypothesisReport,
+    report_from_dict,
+    to_csv,
+    to_json,
+)
 
 
 @pytest.fixture
@@ -24,7 +33,6 @@ def write_config(tmp_path):
             "mode": "squarefree",
             "P_grid": [20, 40],
             "euler_cutoff": 30,
-            "tolerances": {},
         }
         config.update(overrides)
         path = tmp_path / name
@@ -32,6 +40,50 @@ def write_config(tmp_path):
         return str(path)
 
     return _write
+
+
+#: a prime config whose gate passes but whose Li_f at P = 1 is not certified
+_UNCERTIFIED_LI = dict(
+    polynomials=["x1^2 + x2^2 + x3^2 + x4^2"],
+    box=[["1/2", 1]] * 4,
+    mode="prime",
+    P_grid=[1, 4],
+    euler_cutoff=12,
+)
+
+
+#: rows with an infinite ratio, integer-valued floats and counts above 2^53,
+#: and their exact CSV text: a float is written as its repr, an int in full
+_PINNED_ROWS = [
+    ExperimentRow(6, 49, 0, 0.0, math.inf, 0.5, 0.0, 36.0, 0.0),
+    ExperimentRow(
+        10**6,
+        2**53 + 3,
+        2**53 + 1,
+        9007199254740992.0,
+        1.4587552654230338,
+        0.8137186637128495,
+        1e-05,
+        1e16,
+        2.5e-07,
+    ),
+]
+_PINNED_CSV = (
+    "P,lattice_points,empirical,predicted,ratio,"
+    "euler_value,euler_tail,li_value,li_error\r\n"
+    "6,49,0,0.0,inf,0.5,0.0,36.0,0.0\r\n"
+    "1000000,9007199254740995,9007199254740993,9007199254740992.0,"
+    "1.4587552654230338,0.8137186637128495,1e-05,1e+16,2.5e-07\r\n"
+)
+
+
+def _pinned_report() -> ExperimentReport:
+    return ExperimentReport(
+        mode="prime",
+        rows=list(_PINNED_ROWS),
+        hypothesis=HypothesisReport("theorem-1.2", [], None),
+        config={},
+    )
 
 
 class TestCheck:
@@ -56,6 +108,23 @@ class TestCheck:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["check", str(path)]) == 4
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"mode": "prime", "force": "false"},
+            {"sigma_override": -10},
+            {"box": [["1/0", 2], [1, 2]]},
+            {"polynomials": [5]},
+            {"sigma_overide": 1},
+        ],
+    )
+    def test_config_errors_exit_4(self, write_config, capsys, overrides):
+        for command in ("check", "verify"):
+            assert main([command, write_config(**overrides)]) == 4
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error:")
+            assert captured.out == ""
 
     def test_invalid_schema(self, write_config):
         assert main(["check", write_config(mode="nonsense")]) == 4
@@ -101,6 +170,14 @@ class TestDensities:
         captured = capsys.readouterr()
         assert len(captured.out.strip().splitlines()) == 2
         assert "P=20: Li_f did not converge" in captured.err
+
+
+    def test_uncertified_li_exit(self, write_config, monkeypatch, capsys):
+        monkeypatch.setattr(polydensity.intervals, "BISECTION_BUDGET", 50)
+        assert main(["densities", write_config(**_UNCERTIFIED_LI)]) == 3
+        captured = capsys.readouterr()
+        assert [line.split(",")[0] for line in captured.out.splitlines()] == ["P", "4"]
+        assert "P=1: Li_f not certified" in captured.err
 
 
 class TestExpsum:
@@ -200,7 +277,7 @@ class TestVerify:
 
         def undecided(*args, **kwargs):
             result = real(*args, **kwargs)
-            return dataclasses.replace(result, partial=True, unknown_values=2)
+            return dataclasses.replace(result, unknown_values=2)
 
         monkeypatch.setattr(polydensity.verify, "count_values", undecided)
         assert main(["verify", write_config(P_grid=[20])]) == 3
@@ -220,6 +297,18 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["partial"] is True
         assert doc["row_errors"] == ["P=20: Li_f did not converge"]
+
+
+    def test_uncertified_li_exit(self, write_config, monkeypatch, capsys):
+        # f0 > 1 on [1/2, 1]^4 at P = 1 cannot be certified (f0 = 1 at a corner)
+        monkeypatch.setattr(polydensity.intervals, "BISECTION_BUDGET", 50)
+        cfg = write_config(**_UNCERTIFIED_LI)
+        assert main(["verify", cfg]) == 3
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["partial"] is True
+        assert [row["P"] for row in doc["rows"]] == [4]
+        assert "P=1: Li_f not certified" in captured.err
 
 
 class TestReport:
@@ -246,6 +335,16 @@ class TestReport:
         with open(out, encoding="utf-8", newline="") as handle:
             assert handle.read() == to_csv(report_from_dict(doc))
 
+    def test_csv_row_bytes(self):
+        assert to_csv(_pinned_report()) == _PINNED_CSV
+
+    def test_reemit_csv_row_bytes(self, tmp_path):
+        saved, out = tmp_path / "report.json", tmp_path / "report.csv"
+        saved.write_text(to_json(_pinned_report()))
+        assert main(["report", str(saved), "--format", "csv", "--out", str(out)]) == 0
+        with open(out, encoding="utf-8", newline="") as handle:
+            assert handle.read() == _PINNED_CSV
+
     def test_missing_report(self, tmp_path):
         assert main(["report", str(tmp_path / "x.json"), "--format", "csv"]) == 4
 
@@ -269,7 +368,6 @@ class TestTopLevel:
             "mode": "squarefree",
             "P_grid": [10],
             "euler_cutoff": 30,
-            "tolerances": {},
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))

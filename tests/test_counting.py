@@ -249,7 +249,7 @@ class TestCountValues:
         )
         assert res.count == brute
         assert res.count > 0
-        assert not res.partial
+        assert res.unknown_values == 0
 
     def test_probable_primes_undecided(self):
         # above MR_DETERMINISTIC_LIMIT a prime verdict is only probable
@@ -257,7 +257,7 @@ class TestCountValues:
         box = Box([(150_000_000, 150_002_000)])
         assert 150_000_000**3 + 2 >= counting.MR_DETERMINISTIC_LIMIT
         res = count_values(g, box, 1, mode="prime")
-        assert (res.count, res.unknown_values, res.partial) == (0, 39, True)
+        assert (res.count, res.unknown_values) == (0, 39)
         g = parse_polynomial("x1^9 + 2", 1)
         res = count_values(g, Box([(10**6, 10**6 + 200)]), 1, mode="prime")
         brute = sum(1 for x in range(10**6, 10**6 + 201) if sympy.isprime(x**9 + 2))
@@ -345,6 +345,5 @@ class TestCountValues:
         g = parse_polynomial("x1^9 + 1", 1)
         box = Box([(10**6, 10**6 + 30)])
         res = count_values(g, box, 1, mode="squarefree")
-        assert res.partial
         assert res.unknown_values > 0
         assert res.count + res.unknown_values <= res.lattice_points

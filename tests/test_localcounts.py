@@ -174,50 +174,66 @@ class TestEulerFactors:
 class TestEulerProduct:
     def test_squarefree_univariate_is_zeta_2_inverse(self):
         f = parse_polynomial("x1", 1)
-        est = euler_product(f, "squarefree-density", cutoff=10**4)
+        est = euler_product(f, "squarefree", cutoff=10**4)
         assert abs(est.value - 6 / math.pi**2) < 1e-4
         assert est.tail_bound < 1e-3
 
     def test_prime_mode_gated_without_margin(self):
         f = parse_polynomial("x1", 1)
         with pytest.raises(HypothesisViolationError):
-            euler_product(f, "prime-density", cutoff=100, sigma=0)
-        est = euler_product(f, "prime-density", cutoff=100, sigma=0, force=True)
+            euler_product(f, "prime", cutoff=100, sigma=0)
+        est = euler_product(f, "prime", cutoff=100, sigma=0, force=True)
         assert est.value_exact == 1
         assert est.heuristic
 
     def test_prime_mode_allowed_with_margin(self):
         f = parse_polynomial("x1^2 + x2^2 + x3^2 + x4^2", 4)
-        est = euler_product(f, "prime-density", cutoff=50, sigma=0)
+        est = euler_product(f, "prime", cutoff=50, sigma=0)
         assert 0 < est.value < 2
         assert not est.heuristic
 
     def test_partial_products_cauchy(self):
         f = parse_polynomial("x1^2 + x2^2", 2)
-        small = euler_product(f, "squarefree-density", cutoff=50)
+        small = euler_product(f, "squarefree", cutoff=50)
         for cutoff in (100, 200, 400):
-            larger = euler_product(f, "squarefree-density", cutoff=cutoff)
+            larger = euler_product(f, "squarefree", cutoff=cutoff)
             assert abs(larger.value - small.value) <= small.tail_bound
         g = parse_polynomial("x1^2 + x2^2 + x3^2", 3)
-        small = euler_product(g, "squarefree-density", cutoff=30)
-        larger = euler_product(g, "squarefree-density", cutoff=100)
+        small = euler_product(g, "squarefree", cutoff=30)
+        larger = euler_product(g, "squarefree", cutoff=100)
         assert abs(larger.value - small.value) <= small.tail_bound
 
     def test_four_squares_exact_value_pinned(self):
         f = parse_polynomial(FOUR_SQUARES, 4)
-        est = euler_product(f, "prime-density", 48, sigma=0)
+        est = euler_product(f, "prime", 48, sigma=0)
         assert est.value_exact == Fraction(
             131936036612513382531072000, 162139622078364740433577733
         )
 
     def test_exact_value_tracks_float(self):
         f = parse_polynomial("x1^2 + x2^2", 2)
-        est = euler_product(f, "squarefree-density", cutoff=200)
+        est = euler_product(f, "squarefree", cutoff=200)
         assert abs(float(est.value_exact) - est.value) < 1e-15
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             euler_product(parse_polynomial("x1", 1), "nonsense", cutoff=10)
+
+    def test_modes_are_those_of_verify(self):
+        f = parse_polynomial("x1", 1)
+        for mode in ("prime-density", "squarefree-density"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                euler_product(f, mode, cutoff=10)
+        with pytest.raises(ValueError, match="single polynomial"):
+            euler_product([f, parse_polynomial("x1 + 2", 1)], "prime", cutoff=10)
+
+    def test_prime_factor_is_the_joint_factor_of_one_polynomial(self):
+        f = parse_polynomial(FOUR_SQUARES, 4)
+        for p in (2, 3, 5, 7):
+            assert prime_euler_factor(f, p) == joint_euler_factor([f], p)
+        prime = euler_product(f, "prime", 48, sigma=0)
+        joint = euler_product([f], "joint", 48, sigma=0)
+        assert prime.value_exact == joint.value_exact
 
 
 class TestDelignePointCountBound:

@@ -1,11 +1,14 @@
 """Hypothesis gating, experiment orchestration, and report emission."""
 
 import dataclasses
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import polydensity.intervals
 import polydensity.verify
 
 from polydensity import (
@@ -20,6 +23,11 @@ from polydensity import (
 )
 from polydensity.reports import to_csv, to_json, to_plot_data
 
+ROOT = Path(__file__).resolve().parents[1]
+
+#: the message of a certificate whose bisection budget ran out
+_EXHAUSTED = "bisection budget exhausted; condition not certified"
+
 
 def base_config(**overrides):
     config = {
@@ -28,7 +36,6 @@ def base_config(**overrides):
         "mode": "squarefree",
         "P_grid": [50, 100],
         "euler_cutoff": 30,
-        "tolerances": {},
     }
     config.update(overrides)
     return config
@@ -172,6 +179,67 @@ class TestParseConfig:
 
         assert cfg["box"].intervals[0] == (Fraction(1, 2), Fraction(3, 2))
 
+    def test_force_must_be_a_boolean(self):
+        # bool("false") is True: a string would force a gated run
+        assert parse_config(base_config(force=True))["force"] is True
+        for force in ("false", 0, None):
+            with pytest.raises(ConfigError, match="force"):
+                parse_config(base_config(force=force))
+
+    def test_sigma_override_range(self):
+        # n = 2 here; sigma_override = -10 would pass any margin
+        for sigma in (0, 2):
+            cfg = parse_config(base_config(sigma_override=sigma))
+            assert cfg["sigma_override"] == sigma
+        for sigma in (-10, -1, 3, True, 1.0, "1"):
+            with pytest.raises(ConfigError, match="sigma_override"):
+                parse_config(base_config(sigma_override=sigma))
+
+    def test_bad_box_endpoints(self):
+        for box in ([["1/0", 2], [1, 2]], [[1, 2, 3], [1, 2]], [5, [1, 2]]):
+            with pytest.raises(ConfigError, match="bad box"):
+                parse_config(base_config(box=box))
+
+    def test_polynomials_must_be_strings(self):
+        for polynomials in ([5], [None], ["x1^2 + x2^2", 5]):
+            with pytest.raises(ConfigError, match="polynomials"):
+                parse_config(base_config(polynomials=polynomials))
+
+    def test_budget_must_be_a_positive_integer(self):
+        assert parse_config(base_config(budget=10**6))["budget"] == 10**6
+        for budget in ("lots", True, 0, -5, 1e9):
+            with pytest.raises(ConfigError, match="budget"):
+                parse_config(base_config(budget=budget))
+
+    def test_booleans_are_not_integers(self):
+        for key, value in (
+            ("P_grid", [True]),
+            ("euler_cutoff", True),
+            ("threads", True),
+        ):
+            with pytest.raises(ConfigError, match=key):
+                parse_config(base_config(**{key: value}))
+
+    def test_unknown_keys_refused(self):
+        for key in ("sigma_overide", "tolerances"):
+            with pytest.raises(ConfigError, match=key):
+                parse_config(base_config(**{key: {}}))
+
+    def test_benchmark_configs_parse(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        parsed = 0
+        for name in workloads.WORKLOADS:
+            for seed in range(4):
+                job = workloads.make_spec(name, seed, 2)
+                if job["kind"] == "verify":
+                    parse_config(job["config"])
+                    parsed += 1
+        assert parsed == 12
+
 
 class TestRunExperiment:
     def test_squarefree_experiment(self):
@@ -222,7 +290,7 @@ class TestRunExperiment:
 
         def undecided(*args, **kwargs):
             result = real(*args, **kwargs)
-            return dataclasses.replace(result, partial=True, unknown_values=1)
+            return dataclasses.replace(result, unknown_values=1)
 
         monkeypatch.setattr(polydensity.verify, "count_values", undecided)
         report = run_experiment(base_config(P_grid=[20]))
@@ -242,6 +310,57 @@ class TestRunExperiment:
         assert report.partial is True
         assert [row.P for row in report.rows] == [20]
         assert report.row_errors == ["P=20: Li_f did not converge"]
+
+    def test_uncertified_li_drops_only_its_row(self, monkeypatch):
+        # f0 = 1 at the corner (1/2, ..., 1/2), so f0 > 1 on the box at P = 1
+        # cannot be certified; a small bisection budget keeps this fast
+        monkeypatch.setattr(polydensity.intervals, "BISECTION_BUDGET", 50)
+        report = run_experiment(
+            base_config(
+                polynomials=["x1^2 + x2^2 + x3^2 + x4^2"],
+                box=[["1/2", 1]] * 4,
+                mode="prime",
+                P_grid=[1, 4],
+                euler_cutoff=12,
+            )
+        )
+        assert report.hypothesis.all_passed
+        assert report.partial is True
+        assert [row.P for row in report.rows] == [4]
+        assert report.row_errors == [f"P=1: Li_f not certified: {_EXHAUSTED}"]
+
+    def test_uncertified_joint_li_drops_only_its_row(self, monkeypatch):
+        monkeypatch.setattr(polydensity.intervals, "BISECTION_BUDGET", 50)
+        report = run_experiment(
+            base_config(
+                polynomials=["x1", "x1 + 2"],
+                box=[[1, 2]],
+                mode="joint",
+                P_grid=[1, 100],
+                euler_cutoff=12,
+            )
+        )
+        assert report.hypothesis.all_passed
+        assert [row.P for row in report.rows] == [100]
+        assert report.row_errors == [f"P=1: Li_f not certified: {_EXHAUSTED}"]
+
+    def test_li_positivity_failure_drops_only_its_row(self):
+        # x1 <= 1 on half of [1/2, 2], so Li_f at P = 1 provably fails
+        report = run_experiment(
+            base_config(
+                polynomials=["x1"],
+                box=[["1/2", 2]],
+                mode="prime",
+                P_grid=[1, 10],
+                euler_cutoff=12,
+                force=True,
+            )
+        )
+        assert [row.P for row in report.rows] == [10]
+        assert report.partial is True
+        assert report.row_errors == [
+            "P=1: Li_f not certified: f = 7/8 <= 1 at a box midpoint"
+        ]
 
     def test_fixed_divisor_prime_count_bound(self):
         # with a fixed divisor p, only values +-p can be prime
