@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import BudgetExceededError, _fits_int64, _sieve_bools, primes_in_interval
+from .counting import BudgetExceededError, _fits_int64, _members, primes_in_interval
 from .intervals import value_range
 from .localcounts import residue_histogram
 from .poly import Box, MultiPoly, grid_chunks
@@ -243,7 +243,7 @@ def q_alpha_interval(lo: int, hi: int, alpha: float) -> complex:
     (m and -m agree); 0 for an interval holding no such m."""
     if hi - lo > INTERVAL_BUDGET:
         raise BudgetExceededError("Q-interval too long")
-    ms = lo + np.flatnonzero(_sieve_bools(lo, hi, squarefree=True))
+    ms = _members(lo, hi, squarefree=True)
     return complex(np.sum(np.exp(2j * np.pi * alpha * ms.astype(np.float64))))
 
 

@@ -330,7 +330,7 @@ def _mul(a: dict, b: dict) -> dict:
 
 
 #: most grid points in one chunk of :func:`grid_chunks`
-RESIDUE_CHUNK = 1 << 21
+RESIDUE_CHUNK = 1 << 18
 
 
 def grid_chunks(ranges: Sequence[range]):

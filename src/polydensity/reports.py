@@ -78,12 +78,29 @@ class ExperimentReport:
             "mode": self.mode,
             "heuristic": self.heuristic,
             "partial": self.partial,
-            "rows": [asdict(r) for r in self.rows],
+            "rows": [_row_dict(r) for r in self.rows],
             "row_errors": list(self.row_errors),
             "hypothesis": self.hypothesis.to_dict(),
             "config": self.config,
             "metadata": self.metadata,
         }
+
+
+def _row_dict(row: ExperimentRow) -> dict:
+    """The row as a JSON object; a zero prediction's infinite ratio is
+    written as null, since strict JSON has no infinity."""
+    doc = asdict(row)
+    if math.isinf(row.ratio):
+        doc["ratio"] = None
+    return doc
+
+
+def _row_from_dict(doc: dict) -> ExperimentRow:
+    """Inverse of :func:`_row_dict`."""
+    row = ExperimentRow(**doc)
+    if row.ratio is None:
+        row.ratio = math.inf
+    return row
 
 
 def report_from_dict(doc: dict) -> ExperimentReport:
@@ -98,7 +115,7 @@ def report_from_dict(doc: dict) -> ExperimentReport:
         )
     return ExperimentReport(
         mode=doc["mode"],
-        rows=[ExperimentRow(**r) for r in doc["rows"]],
+        rows=[_row_from_dict(r) for r in doc["rows"]],
         hypothesis=HypothesisReport(
             mode=hyp["mode"],
             checks=[HypothesisCheck(**c) for c in hyp["checks"]],
@@ -113,7 +130,8 @@ def report_from_dict(doc: dict) -> ExperimentReport:
 
 
 def to_json(report: ExperimentReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    """Strict JSON (RFC 8259): a value JSON cannot hold raises ValueError."""
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def csv_text(header: list[str], rows: list[list | tuple]) -> str:

@@ -345,6 +345,14 @@ class TestReport:
         with open(out, encoding="utf-8", newline="") as handle:
             assert handle.read() == _PINNED_CSV
 
+    def test_json_is_strict(self):
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        doc = json.loads(to_json(_pinned_report()), parse_constant=refuse)
+        assert doc["rows"][0]["ratio"] is None
+        assert report_from_dict(doc).rows == _PINNED_ROWS
+
     def test_missing_report(self, tmp_path):
         assert main(["report", str(tmp_path / "x.json"), "--format", "csv"]) == 4
 

@@ -1,6 +1,7 @@
 """Counting engine: primality, square-freeness, sieves, lattice counts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,14 +73,14 @@ class TestSieves:
 
     def test_trial_primes_built_once(self, monkeypatch):
         calls = []
-        real = counting._sieve_bools
+        real = counting._segments
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
         counting._trial_primes.cache_clear()
-        monkeypatch.setattr(counting, "_sieve_bools", counted)
+        monkeypatch.setattr(counting, "_segments", counted)
         for m in range(10**10, 4 * 10**10, 3 * 10**8):
             is_squarefree(m)
         assert len(calls) <= 1
@@ -231,6 +232,27 @@ class TestCountValues:
         monkeypatch.setattr(counting, "_value_window", too_narrow)
         with pytest.raises(ArithmeticError):
             count_values(self.f, self.box, 5, mode="prime")
+
+    def test_value_in_padding_bits_raises(self, monkeypatch):
+        # [0, 9] packs into two bytes; 10 would read a padding bit of the second
+        f = parse_polynomial("x1", 1)
+        monkeypatch.setattr(counting, "_value_window", lambda *args: (0, 9))
+        with pytest.raises(ArithmeticError):
+            count_values(f, Box([(0, 10)]), 1, mode="prime")
+
+    def test_squarefree_table_memory(self):
+        # tracemalloc sees numpy's buffers.  A byte-per-entry table with
+        # 2^21-point chunks peaks at 29.7 MiB here, the packed table with
+        # 2^18-point chunks at 7.2 MiB
+        count_values(self.f, self.box, 10, mode="squarefree")
+        tracemalloc.start()
+        try:
+            res = count_values(self.f, self.box, 1000, mode="squarefree", threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.count == 553624
+        assert peak < 16 * 2**20
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceededError):

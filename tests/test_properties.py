@@ -245,9 +245,28 @@ class TestCountingInvariants:
     @example(0, 0, True)
     def test_window_sieve_matches_value_tests(self, lo, width, squarefree):
         hi = lo + width
-        table = counting._sieve_bools(lo, hi, squarefree)
+        bits = counting._sieve_bools(lo, hi, squarefree)
+        table = np.unpackbits(bits, count=width + 1, bitorder="little")
         test = is_squarefree if squarefree else is_prime
         assert [bool(v) for v in table] == [test(m) for m in range(lo, hi + 1)]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(-300, 10**6), st.integers(0, 400), st.booleans())
+    @example(-200, 400, False)
+    @example(-63, 130, True)
+    @example(3, 200, True)
+    @example(0, 0, False)
+    def test_segmented_sieve_matches_value_tests(self, lo, width, squarefree):
+        hi = lo + width
+        test = is_squarefree if squarefree else is_prime
+        expected = [m for m in range(lo, hi + 1) if test(m)]
+        with mock.patch.object(counting, "_SEGMENT", 64):
+            bits = counting._sieve_bools(lo, hi, squarefree)
+            members = counting._members(lo, hi, squarefree)
+        table = np.unpackbits(bits, bitorder="little")
+        assert len(bits) == -(-(width + 1) // 8)
+        assert np.flatnonzero(table).tolist() == [m - lo for m in expected]
+        assert members.tolist() == expected
 
     @settings(deadline=None, max_examples=60)
     @given(
