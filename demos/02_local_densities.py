@@ -25,8 +25,8 @@ for p in (3, 5, 7, 11, 13):
 # The prime-mode local factor is (1 - N_p / p^n) / (1 - 1/p); the
 # squarefree-mode factor is 1 - N_{p^2} / p^{2n}.  Both are exact
 # rationals.
-print("\nprime factor at 3      =", prime_euler_factor(f, 3).value)
-print("squarefree factor at 3 =", squarefree_euler_factor(f, 3).value)
+print("\nprime factor at 3      =", prime_euler_factor(f, 3))
+print("squarefree factor at 3 =", squarefree_euler_factor(f, 3))
 
 # Sanity anchor: for f = x1 the squarefree product is 1/zeta(2) = 6/pi^2.
 linear = parse_polynomial("x1", 1)
@@ -39,6 +39,6 @@ print("tail bound             =", est.tail_bound)
 # (1 - 2/p) / (1 - 1/p)^2, and the full product converges to the twin
 # constant ~1.3203.
 f1, f2 = parse_polynomial("x1", 1), parse_polynomial("x1 + 2", 1)
-print("\njoint factor at 5 =", joint_euler_factor([f1, f2], 5).value)
+print("\njoint factor at 5 =", joint_euler_factor([f1, f2], 5))
 twins = euler_product([f1, f2], "joint", cutoff=10**4)
 print("twin constant     =", twins.value)

@@ -11,7 +11,7 @@
 import json
 
 from polydensity import run_experiment
-from polydensity.reports import to_csv
+from polydensity.reports import to_csv, to_json
 
 config = {
     "polynomials": ["x1^2 + x2^2 + x3^2 + x4^2"],
@@ -39,5 +39,5 @@ print("\nCSV:")
 print(to_csv(report))
 
 # ... or to JSON for archival and later re-emission.
-doc = report.to_dict()
+doc = json.loads(to_json(report))
 print("metadata:", json.dumps(doc["metadata"], indent=2, sort_keys=True))

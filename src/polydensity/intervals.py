@@ -4,10 +4,13 @@ Endpoints are Fractions, so every enclosure is rigorous without any
 rounding-mode machinery, and the enclosure of a one-point box is the exact
 value of f there.  A single Moore–Skelboe bisection (``_bisect``) keeps the
 boxes in a heap keyed by the lower end of their enclosure and always splits
-the lowest one.  It serves both callers: ``certify_above`` certifies box
-positivity of the top-degree form (a hypothesis of the density theorems),
-and ``value_range`` bounds the range of f, running the same loop on f and
-on -f.  Every run makes at most ``BISECTION_BUDGET`` boxes.
+the lowest one.  It also evaluates f exactly at the lowest and the highest
+corner of every box: those values bound the minimum from above, so a
+condition that fails at a corner is refuted at once.  It serves both
+callers: ``certify_above`` certifies box positivity of the top-degree form
+(a hypothesis of the density theorems), and ``value_range`` bounds the
+range of f, running the same loop on f and on -f.  Every run makes at most
+``BISECTION_BUDGET`` boxes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from fractions import Fraction
 
 from .poly import Box, MultiPoly
 
-#: the most boxes one bisection makes; each costs two interval evaluations
+#: the most boxes one bisection makes; each costs an interval evaluation
+#: and an exact evaluation at one corner
 BISECTION_BUDGET = 20000
 
 
@@ -75,37 +79,44 @@ def _bisect(f: MultiPoly, box: Box):
 
     After the root and after every split, yields ``(bound, sample)`` with
     ``bound <= min f(box) <= sample``: bound is the lowest enclosure in the
-    heap, sample the lowest exact value of f at the midpoint of a box made
-    so far.  Of boxes with equal bounds the one made last is split first,
-    so a bound attained along a whole face is refined depth-first rather
-    than box by box across the face.  Ends when the next split would
-    exceed ``BISECTION_BUDGET``.
+    heap, sample the lowest exact value of f at the lowest corner ``(a_i)``
+    or the highest corner ``(b_i)`` of a box made so far, so a minimum at a
+    corner of the box is sampled exactly.  A split's left half shares its
+    lowest corner with the parent and its right half the highest, so each
+    split evaluates two new corners.  Of boxes with equal bounds the one
+    made last is split first, so a bound attained along a whole face is
+    refined depth-first rather than box by box across the face.  Ends when
+    the next split would exceed ``BISECTION_BUDGET``.
     """
     heap: list = []
     sample = None
     made = 0
     boxes = [box.intervals]
+    corners = [[a for a, _ in box.intervals], [b for _, b in box.intervals]]
     while made + len(boxes) <= BISECTION_BUDGET:
+        for corner in corners:
+            value, _ = interval_eval(f, [(c, c) for c in corner])
+            sample = value if sample is None else min(sample, value)
         for intervals in boxes:
             lo, _ = interval_eval(f, intervals)
-            mid, _ = interval_eval(f, [((a + b) / 2,) * 2 for a, b in intervals])
-            sample = mid if sample is None else min(sample, mid)
             heapq.heappush(heap, (lo, -made, intervals))
             made += 1
         yield heap[0][0], sample
-        boxes = _split(heapq.heappop(heap)[2])
+        left, right = _split(heapq.heappop(heap)[2])
+        boxes = [left, right]
+        corners = [[b for _, b in left], [a for a, _ in right]]
 
 
 def certify_above(f: MultiPoly, box: Box, threshold=0) -> bool:
     """Certify f > threshold everywhere on the box by best-first bisection.
 
-    Raises PositivityError if f is <= threshold at a box midpoint, and
+    Raises PositivityError if f is <= threshold at a box corner, and
     CertificationError if the bisection budget runs out first.
     """
     threshold = Fraction(threshold)
     for bound, sample in _bisect(f, box):
         if sample <= threshold:
-            raise PositivityError(f"f = {sample} <= {threshold} at a box midpoint")
+            raise PositivityError(f"f = {sample} <= {threshold} at a box corner")
         if bound > threshold:
             return True
     raise CertificationError("bisection budget exhausted; condition not certified")
@@ -122,7 +133,7 @@ def value_range(f: MultiPoly, box: Box) -> tuple[Fraction, Fraction]:
     """Outer bounds (lo, hi) with lo <= min f(box) and hi >= max f(box).
 
     Each bound comes from the best-first bisection (of f for lo, of -f for
-    hi), which stops once an exact midpoint value lies within 1/256 of the
+    hi), which stops once an exact corner value lies within 1/256 of the
     root enclosure's spread (at least 1) of the bound.  If the budget runs
     out first, the bound reached so far is returned; it is still sound.
     """

@@ -23,6 +23,7 @@ factors.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .counting import BudgetExceededError, is_prime, primes_upto
-from .poly import MultiPoly, PolynomialError, SigmaEstimate, common_zeros, grid_chunks
+from .poly import MultiPoly, PolynomialError, common_zeros, grid_chunks
 
 
 def residue_histogram(f: MultiPoly, q: int, budget: int = 10**8) -> np.ndarray:
@@ -119,29 +120,20 @@ def fixed_prime_divisors(f: MultiPoly) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalFactor:
-    p: int
-    value: Fraction
-
-
-def prime_euler_factor(f: MultiPoly, p: int, budget: int = 10**8) -> LocalFactor:
+def prime_euler_factor(f: MultiPoly, p: int, budget: int = 10**8) -> Fraction:
     """(1 - N_p / p^n) / (1 - 1/p) with N_p = #{f = 0 over F_p^n}: the joint
     factor of the one polynomial f."""
     return joint_euler_factor([f], p, budget)
 
 
-def squarefree_euler_factor(f: MultiPoly, p: int, budget: int = 10**8) -> LocalFactor:
+def squarefree_euler_factor(f: MultiPoly, p: int, budget: int = 10**8) -> Fraction:
     """1 - N_{p^2} / p^{2n} with N_{p^2} = #{f = 0 over (Z/p^2 Z)^n}."""
-    n = f.n_vars
-    count = count_zeros_mod(f, p * p, budget)
-    value = 1 - Fraction(count, p ** (2 * n))
-    return LocalFactor(p=p, value=value)
+    return 1 - Fraction(count_zeros_mod(f, p * p, budget), p ** (2 * f.n_vars))
 
 
 def joint_euler_factor(
     polys: Sequence[MultiPoly], p: int, budget: int = 10**8
-) -> LocalFactor:
+) -> Fraction:
     """(1 - N_p / p^n) / (1 - 1/p)^r with N_p counting zeros of the product.
 
     The union of the r zero sets is swept once via the product polynomial,
@@ -152,9 +144,7 @@ def joint_euler_factor(
     for g in polys[1:]:
         prod = prod * g
     count = count_zeros_mod(prod, p, budget)
-    r = len(polys)
-    value = (1 - Fraction(count, p**n)) / (1 - Fraction(1, p)) ** r
-    return LocalFactor(p=p, value=value)
+    return (1 - Fraction(count, p**n)) / (1 - Fraction(1, p)) ** len(polys)
 
 
 @dataclass
@@ -173,7 +163,7 @@ def euler_product(
     f: MultiPoly | Sequence[MultiPoly],
     mode: str,
     cutoff: int,
-    sigma: SigmaEstimate | int | None = None,
+    sigma: int = 0,
     budget: int = 10**8,
     force: bool = False,
 ) -> EulerProductEstimate:
@@ -195,36 +185,33 @@ def euler_product(
     if mode != "joint" and len(polys) != 1:
         raise ValueError(f"{mode} mode takes a single polynomial")
     n = polys[0].n_vars
-    sigma_val = _sigma_value(sigma)
     heuristic = False
-    if mode == "prime" and n - sigma_val < 3:
+    if mode == "prime" and n - sigma < 3:
         if not force:
             raise HypothesisViolationError(
-                f"n - sigma_f = {n - sigma_val} < 3; pass force=True for a "
+                f"n - sigma_f = {n - sigma} < 3; pass force=True for a "
                 "heuristic truncation"
             )
         heuristic = True
 
     value = Fraction(1)
-    tail_window: list[LocalFactor] = []
+    tail_window: deque[tuple[int, Fraction]] = deque(maxlen=10)
     for p in map(int, primes_upto(cutoff)):
         if mode == "squarefree":
             factor = squarefree_euler_factor(polys[0], p, budget)
         else:
             factor = joint_euler_factor(polys, p, budget)
-        value *= factor.value
-        tail_window.append(factor)
-        if len(tail_window) > 10:
-            tail_window.pop(0)
+        value *= factor
+        tail_window.append((p, factor))
 
-    exponent = min(2.0, (n - sigma_val) / 2)
+    exponent = min(2.0, (n - sigma) / 2)
     if exponent <= 1.05:
         # the nominal exponent gives a divergent tail sum; fall back
         exponent = 2.0
         heuristic = True
     c = 0.0
-    for factor in tail_window:
-        c = max(c, abs(float(factor.value) - 1.0) * factor.p**exponent)
+    for p, factor in tail_window:
+        c = max(c, abs(float(factor) - 1.0) * p**exponent)
     tail = c * _prime_tail_sum(cutoff, exponent)
     return EulerProductEstimate(
         value=float(value),
@@ -232,14 +219,6 @@ def euler_product(
         tail_bound=tail,
         heuristic=heuristic,
     )
-
-
-def _sigma_value(sigma) -> int:
-    if sigma is None:
-        return 0
-    if isinstance(sigma, SigmaEstimate):
-        return sigma.value
-    return int(sigma)
 
 
 def _prime_tail_sum(x: int, e: float) -> float:

@@ -10,7 +10,6 @@ assumes a nonzero polynomial.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -111,11 +110,6 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         return MultiPoly(self.n_vars, _mul(self._terms, other._terms))
-
-    def scale(self, c: int) -> "MultiPoly":
-        if c == 0:
-            raise PolynomialError("scaling by zero gives the zero polynomial")
-        return MultiPoly(self.n_vars, {e: c * v for e, v in self._terms.items()})
 
     # -- evaluation --
 
@@ -276,30 +270,10 @@ class MultiPoly:
             parts.append(piece)
         return "".join(parts)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n_vars,
-                "terms": [
-                    {"e": list(e), "c": str(c)}
-                    for e, c in sorted(self._terms.items())
-                ],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MultiPoly":
-        doc = json.loads(text)
-        return cls(
-            doc["n"], {tuple(t["e"]): int(t["c"]) for t in doc["terms"]}
-        )
-
     def to_sympy(self) -> sympy.Expr:
         import sympy
 
         xs = sympy.symbols(f"x1:{self.n_vars + 1}")
-        if self.n_vars == 1:
-            xs = (xs[0],) if isinstance(xs, tuple) else (xs,)
         expr = sympy.Integer(0)
         for exps, coeff in self._terms.items():
             term = sympy.Integer(coeff)
@@ -482,14 +456,9 @@ class _Parser:
         base = self._atom()
         if self._peek() == "^":
             self.pos += 1
-            start = self.pos
-            self._skip_ws()
             if self._peek() in ("-", "−"):
                 raise ParseError("negative exponent", self.pos)
-            e = self._integer("exponent")
-            if e < 0:
-                raise ParseError("negative exponent", start)
-            return _pow_dict(base, e, self.n_vars)
+            return _pow_dict(base, self._integer("exponent"), self.n_vars)
         return base
 
     def _atom(self) -> dict:
@@ -504,7 +473,7 @@ class _Parser:
         if ch == "x":
             start = self.pos
             self.pos += 1
-            idx = self._integer("variable index", allow_missing=False)
+            idx = self._integer("variable index")
             if not 1 <= idx <= self.n_vars:
                 raise ParseError(
                     f"unknown variable x{idx} (n_vars={self.n_vars})", start
@@ -522,7 +491,7 @@ class _Parser:
             self.pos,
         )
 
-    def _integer(self, what: str, allow_missing: bool = True) -> int:
+    def _integer(self, what: str) -> int:
         self._skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
@@ -614,8 +583,6 @@ class SigmaEstimate:
     value: int
     method: str  # "user-supplied" | "mod-p-estimated"
     witness_primes: tuple[int, ...] = ()
-    per_prime: tuple[tuple[int, int], ...] = ()  # (p, estimate) pairs
-    agreement: bool = True
 
 
 #: largest residue sweep p^n of one prime of the sigma estimate
@@ -626,8 +593,8 @@ def singular_dimension_estimate(f0: MultiPoly, primes: Sequence[int]) -> SigmaEs
     """Estimate sigma_f by counting common zeros of grad(f_0) over F_p.
 
     For an affine cone of dimension s the count N_p grows like p^s, so
-    round(log N_p / log p) recovers s; disagreeing primes are reported and
-    the majority wins (ties go to the larger, i.e. more cautious, value).
+    round(log N_p / log p) recovers s at each prime; the majority of the
+    per-prime values wins (ties go to the larger, i.e. more cautious, value).
     """
     if not f0.is_homogeneous():
         raise PolynomialError("sigma estimate requires a homogeneous polynomial")
@@ -637,24 +604,17 @@ def singular_dimension_estimate(f0: MultiPoly, primes: Sequence[int]) -> SigmaEs
     if not grad:
         raise PolynomialError("gradient vanishes identically")
     n = f0.n_vars
-    per_prime: list[tuple[int, int]] = []
+    values: list[int] = []
     for p in primes:
         if p ** n > SIGMA_BUDGET:
             raise PolynomialError(f"budget exceeded: {p}^{n} > {SIGMA_BUDGET}")
         count = sum(len(points[0]) for points in common_zeros(grad, p))
-        if count == 0:
-            est = 0
-        else:
-            est = int(round(math.log(count) / math.log(p)))
-        per_prime.append((int(p), est))
-    values = [v for _, v in per_prime]
+        values.append(int(round(math.log(count) / math.log(p))) if count else 0)
     majority = max(sorted(set(values)), key=lambda v: (values.count(v), v))
     return SigmaEstimate(
         value=majority,
         method="mod-p-estimated",
         witness_primes=tuple(int(p) for p in primes),
-        per_prime=tuple(per_prime),
-        agreement=len(set(values)) == 1,
     )
 
 

@@ -29,21 +29,6 @@ class HypothesisReport:
     def all_passed(self) -> bool:
         return all(c.status == "pass" for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "checks": [asdict(c) for c in self.checks],
-            "sigma_used": (
-                {
-                    "value": self.sigma_used.value,
-                    "method": self.sigma_used.method,
-                    "witness_primes": list(self.sigma_used.witness_primes),
-                }
-                if self.sigma_used
-                else None
-            ),
-        }
-
 
 @dataclass
 class ExperimentRow:
@@ -73,30 +58,10 @@ class ExperimentReport:
     row_errors: list[str] = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "heuristic": self.heuristic,
-            "partial": self.partial,
-            "rows": [_row_dict(r) for r in self.rows],
-            "row_errors": list(self.row_errors),
-            "hypothesis": self.hypothesis.to_dict(),
-            "config": self.config,
-            "metadata": self.metadata,
-        }
-
-
-def _row_dict(row: ExperimentRow) -> dict:
-    """The row as a JSON object; a zero prediction's infinite ratio is
-    written as null, since strict JSON has no infinity."""
-    doc = asdict(row)
-    if math.isinf(row.ratio):
-        doc["ratio"] = None
-    return doc
-
 
 def _row_from_dict(doc: dict) -> ExperimentRow:
-    """Inverse of :func:`_row_dict`."""
+    """A row as :func:`to_json` writes it, with null read back as an
+    infinite ratio."""
     row = ExperimentRow(**doc)
     if row.ratio is None:
         row.ratio = math.inf
@@ -130,8 +95,14 @@ def report_from_dict(doc: dict) -> ExperimentReport:
 
 
 def to_json(report: ExperimentReport) -> str:
-    """Strict JSON (RFC 8259): a value JSON cannot hold raises ValueError."""
-    return json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+    """Strict JSON (RFC 8259) of the report's fields, keys sorted.  A zero
+    prediction's infinite ratio is written as null, since strict JSON has no
+    infinity; any other value JSON cannot hold raises ValueError."""
+    doc = asdict(report)
+    for row in doc["rows"]:
+        if math.isinf(row["ratio"]):
+            row["ratio"] = None
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def csv_text(header: list[str], rows: list[list | tuple]) -> str:

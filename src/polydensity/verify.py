@@ -265,7 +265,7 @@ def euler_for(cfg: dict, sigma: SigmaEstimate | None) -> EulerProductEstimate:
         cfg["polys"],
         cfg["mode"],
         cutoff=cfg["euler_cutoff"],
-        sigma=sigma,
+        sigma=sigma.value if sigma else 0,
         budget=cfg["budget"],
         force=cfg["force"],
     )

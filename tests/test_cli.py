@@ -14,9 +14,11 @@ import polydensity
 import polydensity.intervals
 import polydensity.verify
 from polydensity.cli import main
+from polydensity.poly import parse_polynomial, singular_dimension_estimate
 from polydensity.reports import (
     ExperimentReport,
     ExperimentRow,
+    HypothesisCheck,
     HypothesisReport,
     report_from_dict,
     to_csv,
@@ -84,6 +86,84 @@ def _pinned_report() -> ExperimentReport:
         hypothesis=HypothesisReport("theorem-1.2", [], None),
         config={},
     )
+
+
+def _pinned_json_report() -> ExperimentReport:
+    """Every report field set, sigma estimated from a real form."""
+    f0 = parse_polynomial("(x1 - x2)^2 + x3^2", 3)
+    return ExperimentReport(
+        mode="prime",
+        rows=[_PINNED_ROWS[0]],
+        hypothesis=HypothesisReport(
+            "theorem-1.2",
+            [
+                HypothesisCheck(
+                    "singular-locus-margin", "fail", "n - sigma = 2, needs >= 4"
+                )
+            ],
+            singular_dimension_estimate(f0, [3, 5, 7]),
+        ),
+        config={"polynomials": ["(x1 - x2)^2 + x3^2"], "P_grid": [6]},
+        heuristic=True,
+        partial=True,
+        row_errors=["P=12: count budget exceeded"],
+        metadata={"elapsed": 0.25, "version": "0.1.0"},
+    )
+
+
+_PINNED_JSON = """\
+{
+  "config": {
+    "P_grid": [
+      6
+    ],
+    "polynomials": [
+      "(x1 - x2)^2 + x3^2"
+    ]
+  },
+  "heuristic": true,
+  "hypothesis": {
+    "checks": [
+      {
+        "detail": "n - sigma = 2, needs >= 4",
+        "name": "singular-locus-margin",
+        "status": "fail"
+      }
+    ],
+    "mode": "theorem-1.2",
+    "sigma_used": {
+      "method": "mod-p-estimated",
+      "value": 1,
+      "witness_primes": [
+        3,
+        5,
+        7
+      ]
+    }
+  },
+  "metadata": {
+    "elapsed": 0.25,
+    "version": "0.1.0"
+  },
+  "mode": "prime",
+  "partial": true,
+  "row_errors": [
+    "P=12: count budget exceeded"
+  ],
+  "rows": [
+    {
+      "P": 6,
+      "empirical": 0,
+      "euler_tail": 0.0,
+      "euler_value": 0.5,
+      "lattice_points": 49,
+      "li_error": 0.0,
+      "li_value": 36.0,
+      "predicted": 0.0,
+      "ratio": null
+    }
+  ]
+}"""
 
 
 class TestCheck:
@@ -352,6 +432,12 @@ class TestReport:
         doc = json.loads(to_json(_pinned_report()), parse_constant=refuse)
         assert doc["rows"][0]["ratio"] is None
         assert report_from_dict(doc).rows == _PINNED_ROWS
+
+    def test_json_bytes(self):
+        report = _pinned_json_report()
+        text = to_json(report)
+        assert text == _PINNED_JSON
+        assert report_from_dict(json.loads(text)) == report
 
     def test_missing_report(self, tmp_path):
         assert main(["report", str(tmp_path / "x.json"), "--format", "csv"]) == 4

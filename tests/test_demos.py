@@ -1,13 +1,20 @@
-"""The demos import only names the package defines.  They are parsed, not
-run: together they take tens of seconds."""
+"""The demos import only names the package defines, and each runs to
+completion: together they take a few seconds."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+#: seconds one demo may take; each takes under 2 s on a desktop core
+DEMO_TIMEOUT = 60
 
 
 def _package_imports(path: Path):
@@ -37,3 +44,19 @@ def test_demo_imports_resolve(path):
         owner = importlib.import_module(module)
         if name is not None:
             assert hasattr(owner, name), f"{path.name}: {module} has no {name}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=DEMO_TIMEOUT,
+    )
+    assert result.returncode == 0, f"{path.name} failed:\n{result.stderr}"

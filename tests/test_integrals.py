@@ -59,8 +59,12 @@ class TestIntervals:
             certify_above(f, Box([(1, 2)]), 0)
 
     def test_certify_budget(self):
-        # touches zero at an endpoint: can never be certified strictly above
-        f = parse_polynomial("x1^2", 1)
+        # zero at an endpoint: refuted at the box corner at once
+        with pytest.raises(PositivityError, match="f = 0 <= 0 at a box corner"):
+            certify_above(parse_polynomial("x1^2", 1), Box([(0, 1)]), 0)
+        # zero at 1/3, which no dyadic corner reaches: can never be
+        # certified strictly above, nor refuted
+        f = parse_polynomial("(3x1 - 1)^2", 1)
         with mock.patch.object(intervals, "BISECTION_BUDGET", 100):
             with pytest.raises(CertificationError):
                 certify_above(f, Box([(0, 1)]), 0)

@@ -136,7 +136,7 @@ class TestFixedPrimeDivisors:
         for f in polys:
             fixed = fixed_prime_divisors(f)
             zero_factors = {
-                p for p in (2, 3) if prime_euler_factor(f, p).value == 0
+                p for p in (2, 3) if prime_euler_factor(f, p) == 0
             }
             assert fixed == zero_factors
 
@@ -146,29 +146,29 @@ class TestEulerFactors:
         f = parse_polynomial("x1^2 + x2^2", 2)
         factor = prime_euler_factor(f, 3)
         # N_3 = 1: (1 - 1/9) / (1 - 1/3) = 4/3
-        assert factor.value == Fraction(4, 3)
+        assert factor == Fraction(4, 3)
 
     def test_linear_prime_factor_is_one(self):
         f = parse_polynomial("x1", 1)
         for p in (2, 3, 5, 97):
-            assert prime_euler_factor(f, p).value == 1
+            assert prime_euler_factor(f, p) == 1
 
     def test_squarefree_factor_formula(self):
         f = parse_polynomial("x1", 1)
         for p in (2, 3, 5):
             # N_{p^2} = 1 zero among p^2 residues
-            assert squarefree_euler_factor(f, p).value == 1 - Fraction(
+            assert squarefree_euler_factor(f, p) == 1 - Fraction(
                 1, p * p
             )
 
     def test_joint_factor_twin_primes(self):
         f1 = parse_polynomial("x1", 1)
         f2 = parse_polynomial("x1 + 2", 1)
-        assert joint_euler_factor([f1, f2], 2).value == 2
+        assert joint_euler_factor([f1, f2], 2) == 2
         # odd p: (1 - 2/p)/(1 - 1/p)^2
         for p in (3, 5, 7):
             expected = (1 - Fraction(2, p)) / (1 - Fraction(1, p)) ** 2
-            assert joint_euler_factor([f1, f2], p).value == expected
+            assert joint_euler_factor([f1, f2], p) == expected
 
 
 class TestEulerProduct:

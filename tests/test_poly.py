@@ -165,10 +165,6 @@ class TestEvaluation:
             for y in range(-10, 11):
                 assert abs(f.evaluate_int([x, y])) <= bound
 
-    def test_json_roundtrip(self):
-        f = parse_polynomial("x1^2x2 - 10^2", 2)
-        assert MultiPoly.from_json(f.to_json()) == f
-
 
 class TestBox:
     def test_volume(self):
@@ -200,7 +196,8 @@ class TestStructure:
         f0 = parse_polynomial("x1^2 + x2^2 + x3^2", 3)
         est = singular_dimension_estimate(f0, [3, 5, 7])
         assert est.value == 0
-        assert est.agreement
+        for p in (3, 5, 7):
+            assert singular_dimension_estimate(f0, [p]).value == 0
 
     def test_sigma_of_degenerate_form(self):
         # grad(x1^2) = (2x1, 0): zero locus is the hyperplane x1 = 0
@@ -214,7 +211,8 @@ class TestStructure:
         f0 = parse_polynomial("(x1 - x2)^2 + x3^2", 3)
         est = singular_dimension_estimate(f0, [3, 5, 7])
         assert est.value == 1
-        assert est.per_prime == ((3, 1), (5, 1), (7, 1))
+        for p in (3, 5, 7):
+            assert singular_dimension_estimate(f0, [p]).value == 1
 
     def test_sigma_rejects_inhomogeneous(self):
         with pytest.raises(PolynomialError):

@@ -25,9 +25,6 @@ from polydensity.reports import to_csv, to_json, to_plot_data
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: the message of a certificate whose bisection budget ran out
-_EXHAUSTED = "bisection budget exhausted; condition not certified"
-
 
 def base_config(**overrides):
     config = {
@@ -313,7 +310,7 @@ class TestRunExperiment:
 
     def test_uncertified_li_drops_only_its_row(self, monkeypatch):
         # f0 = 1 at the corner (1/2, ..., 1/2), so f0 > 1 on the box at P = 1
-        # cannot be certified; a small bisection budget keeps this fast
+        # is refuted there; a small bisection budget keeps a miss fast
         monkeypatch.setattr(polydensity.intervals, "BISECTION_BUDGET", 50)
         report = run_experiment(
             base_config(
@@ -327,7 +324,9 @@ class TestRunExperiment:
         assert report.hypothesis.all_passed
         assert report.partial is True
         assert [row.P for row in report.rows] == [4]
-        assert report.row_errors == [f"P=1: Li_f not certified: {_EXHAUSTED}"]
+        assert report.row_errors == [
+            "P=1: Li_f not certified: f = 1 <= 1 at a box corner"
+        ]
 
     def test_uncertified_joint_li_drops_only_its_row(self, monkeypatch):
         monkeypatch.setattr(polydensity.intervals, "BISECTION_BUDGET", 50)
@@ -342,7 +341,9 @@ class TestRunExperiment:
         )
         assert report.hypothesis.all_passed
         assert [row.P for row in report.rows] == [100]
-        assert report.row_errors == [f"P=1: Li_f not certified: {_EXHAUSTED}"]
+        assert report.row_errors == [
+            "P=1: Li_f not certified: f = 1 <= 1 at a box corner"
+        ]
 
     def test_li_positivity_failure_drops_only_its_row(self):
         # x1 <= 1 on half of [1/2, 2], so Li_f at P = 1 provably fails
@@ -359,7 +360,7 @@ class TestRunExperiment:
         assert [row.P for row in report.rows] == [10]
         assert report.partial is True
         assert report.row_errors == [
-            "P=1: Li_f not certified: f = 7/8 <= 1 at a box midpoint"
+            "P=1: Li_f not certified: f = 1/2 <= 1 at a box corner"
         ]
 
     def test_fixed_divisor_prime_count_bound(self):
