@@ -6,6 +6,10 @@ Sums over residue space go through a value histogram: the residues of f over
 which one FFT of length q gives S_{a,q} for every a at once.  Sums over
 the lattice points of P*B (S(alpha) and the orthogonality count) take the
 values of f chunk by chunk from the grid iterator ``poly.grid_chunks``.
+S(alpha) of a form split over disjoint variable blocks is the product of
+one lattice sum per block.  The orthogonality count takes two real FFTs
+of the value histograms at the smallest 5-smooth length above the largest
+frequency and folds the half spectrum by Hermitian symmetry.
 The square-free weights g(q, d) and G(q) are exact rationals throughout.
 """
 
@@ -182,15 +186,16 @@ def _divisors(q: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _lattice_values(f: MultiPoly, box: Box, P: int):
-    """The values of f on Z^n intersect P*B, one flat array per grid chunk.
+def _lattice_values(f: MultiPoly, ranges: list[range]):
+    """The values of f on the grid ``ranges[0] x ranges[1] x ...``, one
+    flat array per grid chunk.
 
-    Raises ArithmeticError unless int64 provably holds every value.
+    Raises BudgetExceededError past ``SWEEP_BUDGET`` grid points and
+    ArithmeticError unless int64 provably holds every value.
     """
-    total = box.lattice_point_count(P)
+    total = math.prod(len(r) for r in ranges)
     if total > SWEEP_BUDGET:
         raise BudgetExceededError(f"{total} lattice points exceed budget")
-    ranges = box.lattice_ranges(P)
     if not _fits_int64([f], ranges):
         raise ArithmeticError("lattice values of f may overflow int64")
     for _, coords in grid_chunks(ranges):
@@ -220,13 +225,29 @@ def q_interval(f: MultiPoly, box: Box, P: int) -> tuple[int, int]:
 
 
 def s_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
-    """S(alpha) = sum over Z^n intersect P*B of e(alpha f(x))."""
-    return complex(
-        sum(
-            np.sum(np.exp(2j * np.pi * alpha * values.astype(np.float64)))
-            for values in _lattice_values(f, box, P)
+    """S(alpha) = sum over Z^n intersect P*B of e(alpha f(x)).
+
+    For ``f = c + sum_j g_j(x_{A_j})`` over disjoint variable blocks the
+    sum factorises: ``S = e(alpha c) * prod_{free i} |R_i| *
+    prod_j S_j(alpha)``, where ``R_i`` is the lattice range of axis ``i``
+    and ``S_j`` sums ``e(alpha g_j)`` over the lattice points of the axes
+    of block ``j`` alone.  The sweep budget and the int64 check apply to
+    each block.
+    """
+    ranges = box.lattice_ranges(P)
+    constant, blocks = f.variable_blocks()
+    used = {i for variables, _ in blocks for i in variables}
+    value = complex(math.prod(len(r) for i, r in enumerate(ranges) if i not in used))
+    if constant:
+        value *= complex(np.exp(2j * np.pi * alpha * constant))
+    for variables, g in blocks:
+        value *= complex(
+            sum(
+                np.sum(np.exp(2j * np.pi * alpha * values.astype(np.float64)))
+                for values in _lattice_values(g, [ranges[i] for i in variables])
+            )
         )
-    )
+    return value
 
 
 def w_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
@@ -257,14 +278,31 @@ def q_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, for n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def orthogonality_count(f: MultiPoly, box: Box, P: int) -> int:
     """pi_f(P*B) recovered from (1/N) sum_j S(j/N) conj(W(j/N)).
 
     With N exceeding every frequency, discrete orthogonality of e(.) makes
-    the Riemann sum exact; the result is rounded to the nearest integer and
-    a residual of 1e-6 or more raises ArithmeticError.
+    the Riemann sum exact.  S and W at j/N are real FFTs of the value
+    histograms of f and of the primes of the W-interval, with N the
+    smallest 2^a 3^b 5^c above the largest value, and the sum over all N
+    frequencies is folded from the half spectrum.  The result is rounded
+    to the nearest integer and a residual of 1e-6 or more raises
+    ArithmeticError.
     """
-    chunks = list(_lattice_values(f, box, P))
+    chunks = list(_lattice_values(f, box.lattice_ranges(P)))
     if not chunks:
         return 0
     values = np.concatenate(chunks)
@@ -281,12 +319,18 @@ def orthogonality_count(f: MultiPoly, box: Box, P: int) -> int:
         np.zeros(n_grid, dtype=np.int64)
     )
     # any length above the largest frequency keeps the identity exact; a
-    # power of two keeps pocketfft off its slow path for large prime factors
-    n_fft = 1 << (n_grid - 1).bit_length()
-    s_spec = np.fft.fft(hist_v, n_fft)
-    w_spec = np.fft.fft(hist_p, n_fft)
-    total = np.vdot(w_spec, s_spec) / n_fft
-    count = int(round(total.real))
+    # 5-smooth length keeps pocketfft off its slow path for large prime
+    # factors.  Both histograms are real, so c_{N-j} = conj(c_j) for
+    # c_j = conj(W_j) S_j and the full sum is
+    # Re c_0 + 2 sum_{0<j<N/2} Re c_j + [N even] Re c_{N/2}, imaginary part 0
+    n_fft = _smooth_length(n_grid)
+    s_spec = np.fft.rfft(hist_v, n_fft)
+    w_spec = np.fft.rfft(hist_p, n_fft)
+    c = w_spec.real * s_spec.real + w_spec.imag * s_spec.imag
+    half = (n_fft + 1) // 2
+    total = c[0] + 2.0 * c[1:half].sum() + (c[half] if n_fft % 2 == 0 else 0.0)
+    total /= n_fft
+    count = int(round(total))
     residual = abs(total - count)
     if not residual < 1e-6:
         raise ArithmeticError(f"orthogonality residual {residual}")

@@ -32,11 +32,64 @@ def _float_bounds(box: Box) -> list[tuple[float, float]]:
 
 
 def oscillatory_integral(f0: MultiPoly, box: Box, gamma: float) -> QuadratureResult:
-    """I(B; gamma) = integral over B of e(gamma * f0(x)) dx."""
+    """I(B; gamma) = integral over B of e(gamma * f0(x)) dx.
+
+    A form that splits over disjoint variable blocks,
+    ``f0 = c + sum_j g_j(x_{A_j})`` (see ``MultiPoly.variable_blocks``),
+    factorises on the box: ``I = e(gamma c) * prod_{free i} (b_i - a_i) *
+    prod_j I_j`` with ``I_j`` the integral of ``e(gamma g_j)`` over the
+    block's own axes.  Each of the ``m`` blocks is integrated to
+    ``OSCILLATORY_TOL / (2 m V_j)``, where ``V_j`` is the volume of every
+    other axis, and the reported error is the bound
+    ``prod_{free i} (b_i - a_i) * sum_j e_j prod_{k != j} (|I_k| + e_k)`` on
+    the error of the product.  The result has converged when every block
+    did and that bound is at most ``OSCILLATORY_TOL``.  A form whose single
+    block holds every variable is integrated over the whole box to
+    ``OSCILLATORY_TOL``.  Each block may hold at most 4 variables.
+    """
     if not f0.is_homogeneous():
         raise PolynomialError("oscillatory integral expects the top-degree form")
-    if f0.n_vars > 4:
-        raise PolynomialError("desk scale: at most 4 variables")
+    constant, blocks = f0.variable_blocks()
+    if any(len(variables) > 4 for variables, _ in blocks):
+        raise PolynomialError("desk scale: at most 4 variables per block")
+    if len(blocks) == 1 and len(blocks[0][0]) == f0.n_vars:
+        return _phase_integral(f0, box, gamma, OSCILLATORY_TOL)
+    widths = [b - a for a, b in _float_bounds(box)]
+    volume = math.prod(widths)
+    if volume == 0.0:
+        return QuadratureResult(0.0, 0.0, 0)
+    used = {i for variables, _ in blocks for i in variables}
+    free_volume = math.prod(w for i, w in enumerate(widths) if i not in used)
+    parts = []
+    for variables, g in blocks:
+        block_volume = math.prod(widths[i] for i in variables)
+        tol = OSCILLATORY_TOL * block_volume / (2 * len(blocks) * volume)
+        block_box = Box(box.intervals[i] for i in variables)
+        parts.append(_phase_integral(g, block_box, gamma, tol))
+    value = free_volume
+    if constant:
+        value *= complex(np.exp(2j * np.pi * gamma * constant))
+    error = 0.0
+    for j, part in enumerate(parts):
+        value *= part.value
+        error += part.abs_error_estimate * math.prod(
+            abs(other.value) + other.abs_error_estimate
+            for k, other in enumerate(parts)
+            if k != j
+        )
+    error *= free_volume
+    return QuadratureResult(
+        value=value,
+        abs_error_estimate=error,
+        evaluations=sum(part.evaluations for part in parts),
+        converged=all(part.converged for part in parts) and error <= OSCILLATORY_TOL,
+    )
+
+
+def _phase_integral(
+    f0: MultiPoly, box: Box, gamma: float, tol: float
+) -> QuadratureResult:
+    """The integral of e(gamma * f0) over ``box`` to absolute ``tol``."""
 
     def integrand(grids):
         return np.exp(2j * np.pi * gamma * f0.evaluate_array(grids))
@@ -53,7 +106,7 @@ def oscillatory_integral(f0: MultiPoly, box: Box, gamma: float) -> QuadratureRes
     return integrate_box(
         integrand,
         _float_bounds(box),
-        OSCILLATORY_TOL,
+        tol,
         pre_subdivisions=per_axis,
         max_evaluations=20_000_000,
     )

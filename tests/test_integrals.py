@@ -136,26 +136,33 @@ class TestBatchedRefinement:
         self.box = Box([(1, 2), (1, 2)])
 
     def traced(self, gamma):
-        """(result, points of each integrand call)."""
+        """(result, points of each integrand call) of integrate_box on the
+        whole 2-D integrand e(gamma (x1^2 + x2^2)), from the pre-subdivision
+        that oscillatory_integral gives a 2-variable block with value range
+        [2, 8]."""
         sizes = []
 
-        def counted(func, *args, **kwargs):
-            def wrapped(grids):
-                sizes.append(math.prod(np.broadcast_shapes(*(g.shape for g in grids))))
-                return func(grids)
+        def integrand(grids):
+            sizes.append(math.prod(np.broadcast_shapes(*(g.shape for g in grids))))
+            return np.exp(2j * np.pi * gamma * self.f0.evaluate_array(grids))
 
-            return quadrature.integrate_box(wrapped, *args, **kwargs)
-
-        with mock.patch.object(integrals, "integrate_box", counted):
-            result = oscillatory_integral(self.f0, self.box, gamma)
+        result = quadrature.integrate_box(
+            integrand,
+            [(1.0, 2.0), (1.0, 2.0)],
+            integrals.OSCILLATORY_TOL,
+            pre_subdivisions=max(1, math.ceil(6 * gamma / 2.5)),
+            max_evaluations=20_000_000,
+        )
         return result, sizes
 
     def test_evaluation_counts(self):
+        # one 1-D integral per variable; the whole 2-D box took
+        # [170, 2040, 48960, 506600, 1002320]
         counts = [
             oscillatory_integral(self.f0, self.box, gamma).evaluations
             for gamma in self.GAMMAS
         ]
-        assert counts == [170, 2040, 48960, 506600, 1002320]
+        assert counts == [36, 180, 936, 2880, 3996]
 
     def test_one_call_per_rule_and_round(self):
         # one cell at a time took 11792 integrand calls
@@ -219,6 +226,23 @@ class TestOscillatoryIntegral:
         c = 4.0 * peak(10) / 10**e
         for Q in (100, 1000):
             assert peak(Q) <= c * Q**e
+
+    def test_block_limit_is_per_block(self):
+        six = parse_polynomial(" + ".join(f"x{i}^2" for i in range(1, 7)), 6)
+        r = oscillatory_integral(six, Box([(1, 2)] * 6), 0.0)
+        assert r.converged and abs(r.value - 1.0) < 1e-9
+        five = parse_polynomial("(x1 + x2 + x3 + x4 + x5)^2", 5)
+        with pytest.raises(poly.PolynomialError, match="per block"):
+            oscillatory_integral(five, Box([(1, 2)] * 5), 0.0)
+
+    def test_free_axis_and_zero_width(self):
+        # x2 is in no monomial: its width multiplies the 1-D integral
+        f0 = parse_polynomial("x1^2", 2)
+        r = oscillatory_integral(f0, Box([(1, 2), (0, 3)]), 1.3)
+        one = oscillatory_integral(parse_polynomial("x1^2", 1), Box([(1, 2)]), 1.3)
+        assert r.converged and abs(r.value - 3 * one.value) < 1e-9
+        r = oscillatory_integral(self.f0, Box([(1, 2), (1, 1)]), 1.3)
+        assert (r.value, r.abs_error_estimate, r.evaluations) == (0.0, 0.0, 0)
 
     def test_inhomogeneous_rejected(self):
         from polydensity import PolynomialError

@@ -22,11 +22,14 @@ from polydensity import (
     is_prime,
     is_prime_certified,
     is_squarefree,
+    orthogonality_count,
+    oscillatory_integral,
     parse_polynomial,
     residue_histogram,
+    s_alpha,
     value_range,
 )
-from polydensity import counting, intervals, poly
+from polydensity import counting, expsums, integrals, intervals, poly, quadrature
 from polydensity.intervals import CertificationError, PositivityError
 
 
@@ -470,3 +473,179 @@ class TestLineCertificates:
             assert common.is_number
         if poly.certify_coprime(f, g):
             assert sympy.gcd(f.to_sympy(), g.to_sympy()).is_number
+
+
+def homogeneous_forms(draw, variables, n, degree):
+    """A nonzero form of ``degree`` in ``n`` variables whose monomials use
+    only ``variables``, with coefficients in [-2, 2]."""
+    monomials = [
+        e
+        for e in itertools.product(range(degree + 1), repeat=n)
+        if sum(e) == degree and all(e[i] == 0 for i in range(n) if i not in variables)
+    ]
+    picked = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3))
+    coeffs = st.integers(-2, 2).filter(lambda c: c != 0)
+    return {e: draw(coeffs) for e in picked}
+
+
+@st.composite
+def oscillatory_cases(draw, separable):
+    """(form, box, gamma): a form of degree <= 3 in n <= 3 variables that
+    splits into several variable blocks or leaves a variable free
+    (``separable``) or has one block holding every variable (otherwise), a
+    rational box inside [-1, 1]^n and |gamma| <= 5.  The phase swing
+    |gamma| (max f - min f) stays at most 12, which keeps the whole-box
+    reference cheap."""
+    n = draw(st.integers(1 if not separable else 2, 3))
+    degree = draw(st.integers(1, 3))
+    if separable:
+        # each variable gets a block label; label 0 leaves it free
+        labels = draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+        terms = {}
+        for label in sorted(set(labels) - {0}):
+            block = {i for i, l in enumerate(labels) if l == label}
+            terms.update(homogeneous_forms(draw, block, n, degree))
+        assume(terms)
+    else:
+        terms = homogeneous_forms(draw, set(range(n)), n, degree)
+    f0 = MultiPoly(n, terms)
+    blocks = f0.variable_blocks()[1]
+    assume((len(blocks) == 1 and len(blocks[0][0]) == n) != separable)
+    axes = []
+    for _ in range(n):
+        a = draw(st.fractions(-1, 1, max_denominator=4))
+        axes.append((a, draw(st.fractions(a, 1, max_denominator=4))))
+    box = Box(axes)
+    gamma = draw(st.floats(-5, 5, allow_nan=False))
+    lo, hi = value_range(f0, box)
+    assume(abs(gamma) * float(hi - lo) <= 12)
+    return f0, box, gamma
+
+
+def whole_box_integral(f0, box, gamma):
+    """I(B; gamma) by one integrate_box call over the whole box, with the
+    pre-subdivision rule of oscillatory_integral."""
+    lo, hi = value_range(f0, box)
+    per_axis = max(1, math.ceil(abs(gamma) * float(hi - lo) / 2.5))
+    per_axis = min(per_axis, max(1, math.floor(40_000 ** (1.0 / f0.n_vars))))
+    return integrate_box(
+        lambda grids: np.exp(2j * np.pi * gamma * f0.evaluate_array(grids)),
+        [(float(a), float(b)) for a, b in box.intervals],
+        integrals.OSCILLATORY_TOL,
+        pre_subdivisions=per_axis,
+        max_evaluations=20_000_000,
+    )
+
+
+@st.composite
+def orthogonality_cases(draw):
+    """(form, box, P): a positive form on a box inside [0, 3]^n, n <= 2,
+    at most one unit wide per axis, and P <= 40."""
+    text, n = draw(
+        st.sampled_from(
+            [("x1", 1), ("2x1^2", 1), ("x1^2 + x2^2", 2), ("x1^2 + x1x2 + 2x2^2", 2)]
+        )
+    )
+    f = parse_polynomial(text, n)
+    axes = []
+    for _ in range(f.n_vars):
+        a = draw(st.fractions(0, 2, max_denominator=4))
+        axes.append((a, draw(st.fractions(a, a + 1, max_denominator=4))))
+    return f, Box(axes), draw(st.integers(1, 40))
+
+
+def brute_smooth_length(n):
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+class TestCircleMethodInvariants:
+    @settings(deadline=None, max_examples=40)
+    @given(oscillatory_cases(separable=True))
+    def test_factorised_integral_matches_whole_box(self, case):
+        f0, box, gamma = case
+        parts = []
+
+        def recorded(*args, **kwargs):
+            parts.append(quadrature.integrate_box(*args, **kwargs))
+            return parts[-1]
+
+        with mock.patch.object(integrals, "integrate_box", recorded):
+            got = oscillatory_integral(f0, box, gamma)
+        whole = whole_box_integral(f0, box, gamma)
+        assert got.converged and whole.converged
+        gap = abs(got.value - whole.value)
+        assert gap <= 2 * integrals.OSCILLATORY_TOL
+        # a few ulps of the unit-sized products on top of both estimates
+        assert gap <= got.abs_error_estimate + whole.abs_error_estimate + 1e-14
+        # the reported error is the bound on the product of the blocks
+        used = {i for variables, _ in f0.variable_blocks()[1] for i in variables}
+        free = math.prod(
+            float(b - a) for i, (a, b) in enumerate(box.intervals) if i not in used
+        )
+        bound = free * sum(
+            part.abs_error_estimate
+            * math.prod(
+                abs(other.value) + other.abs_error_estimate
+                for other in parts
+                if other is not part
+            )
+            for part in parts
+        )
+        assert math.isclose(got.abs_error_estimate, bound, rel_tol=1e-12)
+        assert got.evaluations == sum(part.evaluations for part in parts)
+
+    @settings(deadline=None, max_examples=25)
+    @given(oscillatory_cases(separable=False))
+    def test_one_block_is_integrated_whole(self, case):
+        f0, box, gamma = case
+        assert oscillatory_integral(f0, box, gamma) == whole_box_integral(
+            f0, box, gamma
+        )
+
+    @settings(deadline=None, max_examples=40)
+    @given(orthogonality_cases())
+    @example((parse_polynomial("x1^2 + x2^2", 2), Box([(1, 2), (1, 2)]), 1))
+    @example((parse_polynomial("x1", 1), Box([(2, 3)]), 10))
+    def test_orthogonality_matches_direct_count(self, case):
+        # the examples take FFT lengths 15 (odd) and 60 (even)
+        f, box, P = case
+        direct = count_values(f, box, P, mode="prime").count
+        assert orthogonality_count(f, box, P) == direct
+
+    def test_smooth_length_matches_search(self):
+        for n in range(1, 5001):
+            assert expsums._smooth_length(n) == brute_smooth_length(n)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(1, 3)), min_size=1, max_size=3
+        ),
+        st.integers(-5, 5),
+        st.data(),
+    )
+    def test_diagonal_s_alpha_matches_whole_sum(self, diagonal, constant, data):
+        n = len(diagonal)
+        terms = {}
+        for i, (coeff, e) in enumerate(diagonal):
+            if coeff:
+                terms[tuple(e if j == i else 0 for j in range(n))] = coeff
+        assume(terms)
+        if constant:
+            terms[(0,) * n] = constant
+        f = MultiPoly(n, terms)
+        box, _ = data.draw(lattice_boxes(n))
+        P = data.draw(st.integers(1, 12))
+        alpha = data.draw(st.floats(-2, 2, allow_nan=False))
+        grid = np.meshgrid(*box.lattice_ranges(P), indexing="ij")
+        whole = np.sum(np.exp(2j * np.pi * alpha * f.evaluate_array(grid)))
+        got = s_alpha(f, box, P, alpha)
+        assert abs(got - whole) <= 1e-9 * max(1, box.lattice_point_count(P))
