@@ -3,19 +3,19 @@
 The lattice points are enumerated on the chunked grid ``poly.grid_chunks``
 (at most ``poly.RESIDUE_CHUNK`` points a chunk), vectorised with numpy;
 every thread count sums the same chunks, and threads pull them a few at a
-time, so memory stays bounded.  A fast int64 path is used whenever an
-a-priori bound on |f| over the scaled box certifies that no overflow can
-occur.  Membership tests then read a table from one windowed sieve
-(``_sieve_bools``), sized to the value range [min f, max f] (of |f| for
-square-freeness) certified by interval arithmetic over the lattice box.
-The sieve runs in segments of ``_SEGMENT`` entries (``_segments``) and
-packs each into bits, so a table costs one bit per entry.  When the
-table's sieve entries (the window plus the base primes up to the square
-root of its largest value) would cost more than testing each lattice value,
-or exceed ``TABLE_LIMIT``, each distinct value is tested instead; a prime
-verdict above ``MR_DETERMINISTIC_LIMIT`` is only probable and leaves its
-point undecided.  ``primes_upto``, ``primes_in_interval`` and
-``squarefree_table`` read the same segments unpacked.
+time, so memory stays bounded.  ``MultiPoly.evaluate_array`` decides per
+chunk whether the values are int64 or exact Python ints.  Membership tests
+read a table from one windowed sieve (``_sieve_bools``), sized to the value
+range [min f, max f] (of |f| for square-freeness) certified by interval
+arithmetic over the lattice box.  The sieve runs in segments of
+``_SEGMENT`` entries (``_segments``) and packs each into bits, so a table
+costs one bit per entry.  When the table's sieve entries (the window plus
+the base primes up to the square root of its largest value) would cost more
+than testing each lattice value, or exceed ``TABLE_LIMIT``, each distinct
+value is tested instead; a prime verdict above ``MR_DETERMINISTIC_LIMIT``
+is only probable and leaves its point undecided.  ``primes_upto``,
+``primes_in_interval`` and ``squarefree_table`` read the same segments
+unpacked.
 """
 
 from __future__ import annotations
@@ -328,20 +328,6 @@ TABLE_LIMIT = 2 * 10**8
 #: square-free), so these ratios err towards testing values
 _ENTRIES_PER_TEST = {"prime": 1000, "joint": 1000, "squarefree": 300_000}
 
-#: int64 is safe when |f| provably stays below this
-_INT64_SAFE = 2**62
-
-
-def _fits_int64(polys: Sequence[MultiPoly], ranges: list[range]) -> bool:
-    """Whether the coordinates and every polynomial provably stay below
-    ``_INT64_SAFE`` in absolute value on the integer box spanned by
-    ``ranges``."""
-    radius = [max(abs(r.start), abs(r.stop - 1)) for r in ranges]
-    return max(radius) < _INT64_SAFE and all(
-        g.abs_bound(radius) < _INT64_SAFE for g in polys
-    )
-
-
 @dataclass
 class CountResult:
     count: int
@@ -366,16 +352,13 @@ def _count_chunk(
     coords: list[np.ndarray],
     mode: str,
     tables: list[tuple[int, int, np.ndarray]] | None,
-    int64_safe: bool,
 ) -> tuple[int, int]:
     """(count, undecided) over one grid chunk; ``tables`` holds (lo, hi,
-    bits) per polynomial, ``bits`` the packed ``_sieve_bools(lo, hi)``
-    (int64 values only).  Without tables each distinct value is tested; a
+    bits) per polynomial, ``bits`` the packed ``_sieve_bools(lo, hi)``,
+    whose window lies inside int64.  Without tables each distinct value is tested; a
     point is undecided when no value rules it out and some verdict is not
     certain: a factorisation out of budget, or a prime verdict at or above
     ``MR_DETERMINISTIC_LIMIT``, which is only probable."""
-    if not int64_safe:
-        coords = [c.astype(object) for c in coords]
     shape = np.broadcast_shapes(*(c.shape for c in coords))
     ok = np.ones(shape, dtype=bool)
     # table verdicts are certain, so only the per-value path keeps a mask
@@ -384,12 +367,14 @@ def _count_chunk(
     for idx, f in enumerate(polys):
         vals = f.evaluate_array(coords)
         if tables is not None:
-            # vals is a fresh int64 array, so the index is built in place
+            # vals is fresh, and int64 once inside the window, so the index
+            # is built in place
             lo, hi, bits = tables[idx]
             if mode == "squarefree":
                 np.abs(vals, out=vals)
             if vals.min() < lo or vals.max() > hi:
                 raise ArithmeticError("a lattice value lies outside its certified window")
+            vals = vals.astype(np.int64, copy=False)
             vals -= lo
             shift = (vals & 7).astype(np.uint8)
             vals >>= 3
@@ -463,25 +448,24 @@ def count_values(
             f"{lattice_points} lattice points exceed budget {budget}"
         )
 
-    int64_safe = _fits_int64(polys, ranges)
+    squarefree = mode == "squarefree"
+    windows = [_value_window(g, ranges, squarefree) for g in polys]
+    # sieve when a table costs less than testing every lattice value; the
+    # limit keeps sqrt(max |f|) below TABLE_LIMIT, so a table's values fit
+    # int64
+    limit = min(TABLE_LIMIT, _ENTRIES_PER_TEST[mode] * lattice_points)
     tables: list[tuple[int, int, np.ndarray]] | None = None
-    if int64_safe:
-        squarefree = mode == "squarefree"
-        windows = [_value_window(g, ranges, squarefree) for g in polys]
-        # sieve when a table costs less than testing every lattice value
-        limit = min(TABLE_LIMIT, _ENTRIES_PER_TEST[mode] * lattice_points)
-        if all(
-            hi - lo + 1 + math.isqrt(max(abs(lo), abs(hi))) + 1 <= limit
-            for lo, hi in windows
-        ):
-            tables = [(lo, hi, _sieve_bools(lo, hi, squarefree)) for lo, hi in windows]
+    if all(
+        hi - lo + 1 + math.isqrt(max(abs(lo), abs(hi))) + 1 <= limit
+        for lo, hi in windows
+    ):
+        tables = [(lo, hi, _sieve_bools(lo, hi, squarefree)) for lo, hi in windows]
 
     def work(coords) -> tuple[int, int]:
-        return _count_chunk(polys, coords, mode, tables, int64_safe)
+        return _count_chunk(polys, coords, mode, tables)
 
-    chunks = (coords for _, coords in grid_chunks(ranges))
     count = unknown = 0
-    for chunk_count, chunk_unknown in _map_lazily(work, chunks, threads):
+    for chunk_count, chunk_unknown in _map_lazily(work, grid_chunks(ranges), threads):
         count += chunk_count
         unknown += chunk_unknown
     return CountResult(count, lattice_points, unknown)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import BudgetExceededError, _fits_int64, _members, primes_in_interval
+from .counting import BudgetExceededError, _members, primes_in_interval
 from .intervals import value_range
 from .localcounts import residue_histogram
 from .poly import Box, MultiPoly, grid_chunks
@@ -191,15 +191,16 @@ def _lattice_values(f: MultiPoly, ranges: list[range]):
     flat array per grid chunk.
 
     Raises BudgetExceededError past ``SWEEP_BUDGET`` grid points and
-    ArithmeticError unless int64 provably holds every value.
+    ArithmeticError on a chunk whose values int64 does not provably hold.
     """
     total = math.prod(len(r) for r in ranges)
     if total > SWEEP_BUDGET:
         raise BudgetExceededError(f"{total} lattice points exceed budget")
-    if not _fits_int64([f], ranges):
-        raise ArithmeticError("lattice values of f may overflow int64")
-    for _, coords in grid_chunks(ranges):
-        yield f.evaluate_array(coords).ravel()
+    for coords in grid_chunks(ranges):
+        values = f.evaluate_array(coords).ravel()
+        if values.dtype != np.int64:
+            raise ArithmeticError("lattice values of f may overflow int64")
+        yield values
 
 
 def w_interval(f: MultiPoly, box: Box, P: int) -> tuple[int, int]:
@@ -300,21 +301,25 @@ def orthogonality_count(f: MultiPoly, box: Box, P: int) -> int:
     smallest 2^a 3^b 5^c above the largest value, and the sum over all N
     frequencies is folded from the half spectrum.  The result is rounded
     to the nearest integer and a residual of 1e-6 or more raises
-    ArithmeticError.
+    ArithmeticError.  The values of f are swept twice, for their extremes
+    and then for their histogram, so only one chunk of them is held at once.
     """
-    chunks = list(_lattice_values(f, box.lattice_ranges(P)))
-    if not chunks:
+    ranges = box.lattice_ranges(P)
+    extremes = [(int(v.min()), int(v.max())) for v in _lattice_values(f, ranges)]
+    if not extremes:
         return 0
-    values = np.concatenate(chunks)
     lo, hi = w_interval(f, box, P)
     primes = primes_in_interval(max(lo, 2), hi)
-    v_min = int(values.min())
-    m_max = max(int(values.max()), int(primes.max()) if len(primes) else 0)
-    shift = -min(v_min, 0)
+    lows, highs = zip(*extremes)
+    m_max = max(max(highs), int(primes.max()) if len(primes) else 0)
+    shift = -min(min(lows), 0)
     n_grid = m_max + shift + 1
     if n_grid > SWEEP_BUDGET:
         raise BudgetExceededError("orthogonality grid too large")
-    hist_v = np.bincount(values + shift, minlength=n_grid)
+    chunks = _lattice_values(f, ranges)
+    hist_v = np.bincount(next(chunks) + shift, minlength=n_grid)
+    for values in chunks:
+        hist_v += np.bincount(values + shift, minlength=n_grid)
     hist_p = np.bincount(primes + shift, minlength=n_grid) if len(primes) else (
         np.zeros(n_grid, dtype=np.int64)
     )

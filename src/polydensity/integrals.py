@@ -40,7 +40,8 @@ def oscillatory_integral(f0: MultiPoly, box: Box, gamma: float) -> QuadratureRes
     prod_j I_j`` with ``I_j`` the integral of ``e(gamma g_j)`` over the
     block's own axes.  Each of the ``m`` blocks is integrated to
     ``OSCILLATORY_TOL / (2 m V_j)``, where ``V_j`` is the volume of every
-    other axis, and the reported error is the bound
+    other axis; blocks equal as polynomials on equal intervals are
+    integrated once.  The reported error is the bound
     ``prod_{free i} (b_i - a_i) * sum_j e_j prod_{k != j} (|I_k| + e_k)`` on
     the error of the product.  The result has converged when every block
     did and that bound is at most ``OSCILLATORY_TOL``.  A form whose single
@@ -60,12 +61,17 @@ def oscillatory_integral(f0: MultiPoly, box: Box, gamma: float) -> QuadratureRes
         return QuadratureResult(0.0, 0.0, 0)
     used = {i for variables, _ in blocks for i in variables}
     free_volume = math.prod(w for i, w in enumerate(widths) if i not in used)
+    # equal blocks on equal intervals, such as x1^2 and x2^2 on [1, 2]^2,
+    # share one integral
+    distinct: dict[tuple[MultiPoly, Box], QuadratureResult] = {}
     parts = []
     for variables, g in blocks:
-        block_volume = math.prod(widths[i] for i in variables)
-        tol = OSCILLATORY_TOL * block_volume / (2 * len(blocks) * volume)
         block_box = Box(box.intervals[i] for i in variables)
-        parts.append(_phase_integral(g, block_box, gamma, tol))
+        if (g, block_box) not in distinct:
+            block_volume = math.prod(widths[i] for i in variables)
+            tol = OSCILLATORY_TOL * block_volume / (2 * len(blocks) * volume)
+            distinct[g, block_box] = _phase_integral(g, block_box, gamma, tol)
+        parts.append(distinct[g, block_box])
     value = free_volume
     if constant:
         value *= complex(np.exp(2j * np.pi * gamma * constant))
@@ -81,7 +87,7 @@ def oscillatory_integral(f0: MultiPoly, box: Box, gamma: float) -> QuadratureRes
     return QuadratureResult(
         value=value,
         abs_error_estimate=error,
-        evaluations=sum(part.evaluations for part in parts),
+        evaluations=sum(part.evaluations for part in distinct.values()),
         converged=all(part.converged for part in parts) and error <= OSCILLATORY_TOL,
     )
 

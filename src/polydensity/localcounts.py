@@ -53,7 +53,7 @@ def residue_histogram(f: MultiPoly, q: int, budget: int = 10**8) -> np.ndarray:
     hist = None
     for variables, g in blocks:
         block = np.zeros(q, dtype=np.int64)
-        for _, coords in grid_chunks([range(q)] * len(variables)):
+        for coords in grid_chunks([range(q)] * len(variables)):
             block += np.bincount(
                 g.evaluate_array(coords, modulus=q).ravel(), minlength=q
             )
@@ -79,12 +79,11 @@ def count_zeros_mod(f: MultiPoly, modulus: int, budget: int = 10**8) -> int:
     # modulus = p^2: a root r mod p where some partial derivative is a unit
     # has p^(n-1) lifts r + p*t (Hensel).  Where the whole gradient vanishes,
     # Taylor's formula gives f(r + p*t) = f(r) mod p^2 for every t, so all
-    # p^n lifts are roots or none is.  f(r) is evaluated exactly: an int64
-    # square of a residue mod p^2 overflows once p > 55108.
+    # p^n lifts are roots or none is.
     grad = [g for g in f.gradient() if g is not None]
     singular = lifted = 0
     for points in common_zeros([f, *grad], p):
-        values = f.evaluate_array([c.astype(object) for c in points])
+        values = f.evaluate_array(points)
         singular += len(values)
         lifted += int(np.count_nonzero(values % modulus == 0))
     n = f.n_vars

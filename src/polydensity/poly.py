@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -141,33 +141,43 @@ class MultiPoly:
     def evaluate_array(
         self, coords: Sequence[np.ndarray], modulus: int | None = None
     ) -> np.ndarray:
-        """Vectorised evaluation over broadcastable coordinate arrays.
+        """Vectorised evaluation over broadcastable coordinate arrays, reduced
+        to ``[0, modulus)`` when ``modulus`` is set.
 
-        With ``modulus`` set, every intermediate stays below ``modulus**2``,
-        so int64 is safe whenever ``modulus < 2**31``.  Without a modulus the
-        caller is responsible for certifying that int64 cannot overflow (see
-        :meth:`abs_bound`); pass object-dtype arrays otherwise.
+        This is the one place that chooses between int64 and exact
+        arithmetic.  Integer coordinates are evaluated in int64 when every
+        intermediate provably stays below ``2**62``: below ``modulus**2``
+        with a modulus, below :meth:`abs_bound` at the coordinates' extremes
+        without one.  Otherwise they become Python ints (object arrays), as
+        object coordinates already are; float coordinates are evaluated as
+        floats.  The result is a fresh array of the broadcast shape.
         """
         if len(coords) != self.n_vars:
             raise PolynomialError("coordinate arrays do not match n_vars")
-        shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-        if modulus is not None:
-            total = np.zeros(shape, dtype=np.int64)
-            for exps, coeff in self._terms.items():
-                prod = np.full(shape, coeff % modulus, dtype=np.int64)
-                for x, e in zip(coords, exps):
-                    if e:
-                        xe = _pow_mod_array(x, e, modulus)
-                        prod = (prod * xe) % modulus
-                total = (total + prod) % modulus
-            return total
-        total = np.zeros(shape, dtype=coords[0].dtype if coords else np.int64)
+        if all(c.dtype.kind in "iuO" for c in coords):
+            if any(c.dtype == object for c in coords):
+                int64 = False
+            elif modulus is not None:
+                int64 = modulus**2 <= 2**62
+            else:
+                radius = [
+                    max(-int(c.min()), int(c.max())) if c.size else 0 for c in coords
+                ]
+                int64 = max(radius) < 2**62 and self.abs_bound(radius) < 2**62
+            dtype = np.int64 if int64 else object
+            coords = [c.astype(dtype, copy=False) for c in coords]
+        shape = np.broadcast_shapes(*(c.shape for c in coords))
+        total = np.zeros(shape, dtype=np.result_type(*coords))
         for exps, coeff in self._terms.items():
-            prod = np.full(shape, coeff, dtype=total.dtype)
+            term = coeff if modulus is None else coeff % modulus
             for x, e in zip(coords, exps):
-                if e:
-                    prod = prod * (x ** e)
-            total = total + prod
+                if e and modulus is None:
+                    term = term * x**e
+                elif e:
+                    term = term * _pow_mod_array(x, e, modulus) % modulus
+            total += term
+            if modulus is not None:
+                total %= modulus
         return total
 
     def abs_bound(self, radius: Sequence[float]) -> int:
@@ -309,11 +319,11 @@ RESIDUE_CHUNK = 1 << 18
 
 def grid_chunks(ranges: Sequence[range]):
     """Chunks of the grid ``ranges[0] x ranges[1] x ...`` of unit-step
-    ranges in C order, as ``(start, coords)``.
+    ranges in C order.
 
-    ``coords`` are ``len(ranges)`` broadcastable arrays, int64 for a range
-    inside int64 and of Python ints otherwise; their broadcast lists the
-    grid points with linear indices ``start, start + 1, ...``.  The
+    Each chunk is a list of ``len(ranges)`` broadcastable arrays, int64 for
+    a range inside int64 and of Python ints otherwise; their broadcast lists
+    the chunk's grid points, and the chunks follow each other.  The
     trailing axes stay whole while they fit in one chunk, so per-axis work
     such as powers is done once per axis; the leading axes share one axis
     that runs over their combined index.  No chunk holds more than
@@ -343,7 +353,7 @@ def grid_chunks(ranges: Sequence[range]):
         for r in reversed(ranges[:leading]):
             head.append(_shift(r, index % len(r)))
             index = index // len(r)
-        yield lo * block, head[::-1] + tail
+        yield head[::-1] + tail
 
 
 def _shift(r: range, offsets: np.ndarray) -> np.ndarray:
@@ -362,7 +372,7 @@ def common_zeros(polys: Sequence["MultiPoly"], p: int):
     no chunk holds more than ``RESIDUE_CHUNK`` points.
     """
     first, *rest = polys
-    for _, coords in grid_chunks([range(p)] * first.n_vars):
+    for coords in grid_chunks([range(p)] * first.n_vars):
         zero = first.evaluate_array(coords, modulus=p) == 0
         points = [np.broadcast_to(c, zero.shape)[zero] for c in coords]
         for g in rest:

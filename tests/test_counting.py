@@ -192,16 +192,17 @@ class TestCountValues:
         real = counting.grid_chunks
 
         def record(ranges):
-            for start, coords in real(ranges):
+            for coords in real(ranges):
                 size = math.prod(np.broadcast_shapes(*(c.shape for c in coords)))
-                seen.setdefault(threads, []).append((start, size))
-                yield start, coords
+                first = tuple(int(c.flat[0]) for c in coords)
+                seen.setdefault(threads, []).append((size, first))
+                yield coords
 
         monkeypatch.setattr(counting, "grid_chunks", record)
         monkeypatch.setattr(poly, "RESIDUE_CHUNK", 50 * 61)
         for threads in (1, 3):
             count_values(self.f, self.box, 60, mode="prime", threads=threads)
-        assert seen[1] == seen[3] == [(0, 50 * 61), (50 * 61, 11 * 61)]
+        assert seen[1] == seen[3] == [(50 * 61, (60, 60)), (11 * 61, (110, 60))]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_chunks_bounded_when_trailing_axes_exceed_limit(self, monkeypatch, threads):
@@ -272,6 +273,35 @@ class TestCountValues:
         assert res.count == brute
         assert res.count > 0
         assert res.unknown_values == 0
+
+    @pytest.mark.parametrize("mode", ["prime", "squarefree", "joint"])
+    def test_far_box_takes_table_path(self, monkeypatch, mode):
+        # the coordinates pass 2^63, so they are Python ints, but x1 - x2
+        # stays in [-40, 40]: the certified window alone picks the table
+        f = parse_polynomial("x1 - x2", 2)
+        polys = [f, f + parse_polynomial("2", 2)] if mode == "joint" else f
+        box = Box([(2**63 - 20, 2**63 + 20)] * 2)
+        windows = []
+        real = counting._sieve_bools
+
+        def record(lo, hi, squarefree=False):
+            windows.append((lo, hi))
+            return real(lo, hi, squarefree)
+
+        monkeypatch.setattr(counting, "_sieve_bools", record)
+        table = count_values(polys, box, 1, mode)
+        assert len(windows) == (2 if mode == "joint" else 1)
+        monkeypatch.setattr(counting, "TABLE_LIMIT", 0)
+        per_value = count_values(polys, box, 1, mode)
+        test = is_squarefree if mode == "squarefree" else is_prime
+        shifts = (0, 2) if mode == "joint" else (0,)
+        brute = sum(
+            41 - abs(d)
+            for d in range(-40, 41)
+            if all(test(d + s) for s in shifts)
+        )
+        assert table.count == per_value.count == brute > 0
+        assert table.unknown_values == per_value.unknown_values == 0
 
     def test_probable_primes_undecided(self):
         # above MR_DETERMINISTIC_LIMIT a prime verdict is only probable

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -259,6 +260,19 @@ class TestIdentityChecks:
         # the half-spectrum fold has a Nyquist term only at even lengths
         parities = {expsums._smooth_length(*c.args) % 2 for c in lengths.call_args_list}
         assert parities == {0, 1}
+
+    def test_orthogonality_memory_is_one_chunk(self):
+        # 41^4 lattice values; held all at once they peaked at 64.7 MiB
+        f = parse_polynomial("x1 + x2 + x3 + x4", 4)
+        box = Box([(1, 2)] * 4)
+        tracemalloc.start()
+        try:
+            count = orthogonality_count(f, box, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 511856
+        assert peak < 16 * 2**20
 
     def test_observatory_identity(self):
         f = parse_polynomial("x1^2 + x2^2", 2)

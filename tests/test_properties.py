@@ -95,6 +95,14 @@ def brute_histogram(f, q):
 
 
 small_primes = st.sampled_from([2, 3, 5, 7, 11])
+#: int64 coordinates within 64 of +-2^15, +-2^31 or +-2^62, where values of
+#: polynomials() draws cross 2^62
+near_int64_edges = st.builds(
+    lambda edge, sign, offset: sign * edge + offset,
+    st.sampled_from([2**15, 2**31, 2**62]),
+    st.sampled_from([1, -1]),
+    st.integers(-64, 64),
+)
 
 
 class TestPolynomialInvariants:
@@ -117,6 +125,25 @@ class TestPolynomialInvariants:
         x = point[: f.n_vars]
         grids = [np.array([c], dtype=object) for c in x]
         assert f.evaluate_array(grids)[0] == f.evaluate_int(x)
+
+    @settings(deadline=None)
+    @given(
+        polynomials(),
+        st.lists(
+            st.lists(near_int64_edges, min_size=3, max_size=3), min_size=1, max_size=4
+        ),
+        st.none() | st.integers(2, 2**40),
+    )
+    @example(parse_polynomial("x1^2", 1), [[2**32 + 14] * 3], 2**32 + 15)
+    @example(parse_polynomial("x1^2", 1), [[2**31 - 1] * 3, [-(2**31)] * 3], None)
+    def test_array_exact_across_int64_boundary(self, f, points, modulus):
+        points = [x[: f.n_vars] for x in points]
+        coords = [np.array(column, dtype=np.int64) for column in zip(*points)]
+        got = f.evaluate_array(coords, modulus).tolist()
+        if modulus is None:
+            assert got == [f.evaluate_int(x) for x in points]
+        else:
+            assert got == [f.evaluate_mod(x, modulus) for x in points]
 
     @given(polynomials(), small_primes, st.lists(st.integers(0, 200), min_size=3, max_size=3))
     def test_modular_evaluation_consistent(self, f, p, point):
@@ -323,10 +350,9 @@ class TestGridChunks:
         with mock.patch.object(poly, "RESIDUE_CHUNK", limit):
             chunks = list(poly.grid_chunks(ranges))
         points = []
-        for start, coords in chunks:
+        for coords in chunks:
             assert len(coords) == len(ranges)
             grid = np.broadcast_arrays(*coords)
-            assert start == len(points)
             assert 0 < grid[0].size <= limit
             points.extend(zip(*(g.ravel().tolist() for g in grid)))
         assert points == list(itertools.product(*ranges))
