@@ -4,12 +4,16 @@ Counting is exact and exhaustive, vectorised with numpy.  Counts modulo p
 come from the residue histogram of f: a form split over disjoint sets of
 variables is swept block by block and the block histograms are convolved
 (the factorisation of Birch and Davenport), so x1^2 + ... + x4^2 costs
-four sweeps of p residues, not one of p^4.  Counts modulo p^2 lift the
-roots modulo p (a solution modulo p^2 must reduce to one modulo p): a
-smooth root has p^(n-1) lifts by Hensel, and the fiber above a singular
-root, a common zero of f and its gradient, is all roots or none, since
-f(r + p t) = f(r) mod p^2 there.  So only f(r) mod p^2 at the singular
-roots is evaluated.  Every sweep runs on the chunked grid
+one sweep of p residues (the four blocks are equal), not one of p^4.
+Counts modulo p^2 lift the roots modulo p (a solution modulo p^2 must
+reduce to one modulo p): a smooth root has p^(n-1) lifts by Hensel, and the
+fiber above a singular root, a common zero of f and its gradient, is all
+roots or none, since f(r + p t) = f(r) mod p^2 there.  The gradient splits
+by block too, so the singular roots are the points of the product of the
+blocks' critical sets (zeros of the block gradient mod p) where f = 0 mod p.
+Each block's critical set is found by a sweep of that block alone, and only
+the blocks' values mod p^2 there are combined, so x1^2 + x2^2 costs sweeps
+of p residues, not of p^2.  Every sweep runs on the chunked grid
 ``poly.grid_chunks``, so its memory stays within ``poly.RESIDUE_CHUNK``
 points whatever q and n are.
 
@@ -38,11 +42,11 @@ def residue_histogram(f: MultiPoly, q: int, budget: int = 10**8) -> np.ndarray:
     """#{x in (Z/qZ)^n : f(x) = c mod q} for c = 0..q-1, exact int64.
 
     ``f`` is split into parts in disjoint variable blocks,
-    ``f = c + sum_j g_j(x_{A_j})``; each block is swept over its own
-    ``q^{|A_j|}`` residues and the block histograms are folded together by
-    cyclic convolution mod ``q``.  A variable in no monomial multiplies
-    every count by ``q``.  The budget is checked against the full ``q^n``,
-    as for a sweep of the whole grid.
+    ``f = c + sum_j g_j(x_{A_j})``; each distinct block is swept once over
+    its own ``q^{|A_j|}`` residues and the block histograms are folded
+    together by cyclic convolution mod ``q``.  A variable in no monomial
+    multiplies every count by ``q``.  The budget is checked against the full
+    ``q^n``, as for a sweep of the whole grid.
     """
     n = f.n_vars
     if q**n > budget:
@@ -51,12 +55,15 @@ def residue_histogram(f: MultiPoly, q: int, budget: int = 10**8) -> np.ndarray:
         raise BudgetExceededError(f"{q}^{n} residue counts overflow int64")
     constant, blocks = f.variable_blocks()
     hist = None
+    swept: dict[MultiPoly, np.ndarray] = {}
     for variables, g in blocks:
-        block = np.zeros(q, dtype=np.int64)
-        for coords in grid_chunks([range(q)] * len(variables)):
-            block += np.bincount(
-                g.evaluate_array(coords, modulus=q).ravel(), minlength=q
-            )
+        block = swept.get(g)
+        if block is None:
+            block = swept[g] = np.zeros(q, dtype=np.int64)
+            for coords in grid_chunks([range(q)] * len(variables)):
+                block += np.bincount(
+                    g.evaluate_array(coords, modulus=q).ravel(), minlength=q
+                )
         if hist is None:
             hist = block
         else:
@@ -79,15 +86,47 @@ def count_zeros_mod(f: MultiPoly, modulus: int, budget: int = 10**8) -> int:
     # modulus = p^2: a root r mod p where some partial derivative is a unit
     # has p^(n-1) lifts r + p*t (Hensel).  Where the whole gradient vanishes,
     # Taylor's formula gives f(r + p*t) = f(r) mod p^2 for every t, so all
-    # p^n lifts are roots or none is.
-    grad = [g for g in f.gradient() if g is not None]
+    # p^n lifts are roots or none is.  With f = c + sum_j g_j(x_{A_j}) the
+    # gradient vanishes iff every block's does, so these singular roots are
+    # the points of the product of the blocks' critical sets where f = 0 mod
+    # p; the blocks' values there are combined, not the points.
+    constant, blocks = f.variable_blocks()
+    swept = {g: _critical_values(g, p, modulus) for g in {g for _, g in blocks}}
+    tallies = [swept[g] for _, g in blocks]
     singular = lifted = 0
-    for points in common_zeros([f, *grad], p):
-        values = f.evaluate_array(points)
-        singular += len(values)
-        lifted += int(np.count_nonzero(values % modulus == 0))
+    for index in grid_chunks([range(len(values)) for values, _ in tallies]):
+        total, weight = np.asarray(constant % modulus), np.asarray(1)
+        for i, (values, counts) in zip(index, tallies):
+            total = total + values[i]
+            weight = weight * counts[i]
+        total %= modulus
+        singular += int(weight[total % p == 0].sum())
+        lifted += int(weight[total == 0].sum())
     n = f.n_vars
-    return (n_p - singular) * p ** (n - 1) + lifted * p**n
+    free = p ** (n - sum(len(variables) for variables, _ in blocks))
+    return (n_p - singular * free) * p ** (n - 1) + lifted * free * p**n
+
+
+def _critical_values(
+    g: MultiPoly, p: int, modulus: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, counts): the distinct values mod ``modulus`` that g takes on
+    the zeros of its gradient mod p, and how many zeros take each.
+
+    The zeros are swept chunk by chunk and folded into the tally, so at most
+    one chunk and ``min(modulus, #zeros)`` distinct values are held.
+    """
+    grad = [h for h in g.gradient() if h is not None]
+    values = counts = np.empty(0, dtype=np.int64)
+    for points in common_zeros(grad, p):
+        found = g.evaluate_array(points, modulus=modulus)
+        weights = np.concatenate([counts, np.ones(len(found), dtype=np.int64)])
+        values, inverse = np.unique(
+            np.concatenate([values, found]), return_inverse=True
+        )
+        counts = np.zeros(len(values), dtype=np.int64)
+        np.add.at(counts, inverse, weights)
+    return values, counts
 
 
 def _prime_power_shape(modulus: int) -> tuple[int, int]:

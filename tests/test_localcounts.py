@@ -7,6 +7,7 @@ import pytest
 
 from polydensity import (
     HypothesisViolationError,
+    MultiPoly,
     count_zeros_mod,
     euler_product,
     fixed_prime_divisors,
@@ -81,6 +82,25 @@ class TestCountZerosMod:
         # square past 2^63 here, so an int64 evaluation of f miscounts.
         f = parse_polynomial(f"x1^2 - {p * p}", 1)
         assert count_zeros_mod(f, p * p) == p
+
+    def test_p_squared_sweeps_blocks_not_grid(self, monkeypatch):
+        # the singular roots of x1^2 + x2^2 come from each block's critical
+        # set, x = 0, so about 4p points are evaluated, not the p^2 of F_p^2
+        f = parse_polynomial("x1^2 + x2^2", 2)
+        p = 1009
+        evaluated = []
+        real = MultiPoly.evaluate_array
+
+        def counted(self, coords, modulus=None):
+            values = real(self, coords, modulus)
+            evaluated.append(values.size)
+            return values
+
+        monkeypatch.setattr(MultiPoly, "evaluate_array", counted)
+        # p = 1 mod 4: 2p - 1 roots mod p, of which (0, 0) is singular
+        # and lifts to all p^2 points of its fiber
+        assert count_zeros_mod(f, p * p) == (2 * p - 2) * p + p * p
+        assert sum(evaluated) <= 10 * p
 
     def test_non_prime_power_rejected(self):
         f = parse_polynomial("x1", 1)

@@ -87,6 +87,23 @@ def polynomial_tuples(k):
     )
 
 
+@st.composite
+def forms_mod_p2(draw):
+    """Separable and non-separable forms in at most 3 variables, some with a
+    variable in no monomial and some with a constant term."""
+    f = draw(st.one_of(separable_polynomials(), polynomials(max_degree=3)))
+    terms = f.terms
+    n = f.n_vars
+    if n < 3 and draw(st.booleans()):
+        k = draw(st.integers(0, n))
+        terms = {e[:k] + (0,) + e[k:]: c for e, c in terms.items()}
+        n += 1
+    zero = (0,) * n
+    terms[zero] = terms.get(zero, 0) + draw(st.integers(-20, 20))
+    assume(any(terms.values()))
+    return MultiPoly(n, terms)
+
+
 def brute_histogram(f, q):
     values = [
         f.evaluate_mod(x, q) for x in itertools.product(range(q), repeat=f.n_vars)
@@ -195,6 +212,25 @@ class TestLocalCountInvariants:
         assert n_p2 <= n_p * p**f.n_vars
         assert n_p2 == brute_histogram(f, p * p)[0]
 
+    @settings(deadline=None, max_examples=60)
+    @given(forms_mod_p2(), st.sampled_from([2, 3, 5, 7]))
+    @example(parse_polynomial("x1^2 + x2^2 + x3^2", 3), 2)
+    @example(parse_polynomial("x1^3 + x2^3 + 1", 2), 3)
+    @example(parse_polynomial("x1^3 - x2^3 + 3x3^3", 3), 3)
+    @example(parse_polynomial("x1*x2 + x3^2 - 4", 3), 5)
+    @example(parse_polynomial("x2^2 + 7", 3), 7)
+    @example(parse_polynomial("49", 2), 7)
+    def test_count_mod_p2_matches_brute_force(self, f, p):
+        # p = 2 on squares and p = 3 on cubes: every point of a block is
+        # critical, so the whole block's values are combined; 5-point
+        # chunks fold a block's critical values over several chunks
+        q = p * p
+        grid = np.meshgrid(*[np.arange(q)] * f.n_vars, indexing="ij", sparse=True)
+        zeros = np.count_nonzero(f.evaluate_array(grid, modulus=q) == 0)
+        assert count_zeros_mod(f, q) == zeros
+        with mock.patch.object(poly, "RESIDUE_CHUNK", 5):
+            assert count_zeros_mod(f, q) == zeros
+
 
     def test_every_modulus_matches_brute_force(self):
         f = parse_polynomial("x1*x3^2 + 2x2^3 - 1", 3)
@@ -298,6 +334,42 @@ class TestCountingInvariants:
         assert len(bits) == -(-(width + 1) // 8)
         assert np.flatnonzero(table).tolist() == [m - lo for m in expected]
         assert members.tolist() == expected
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.one_of(
+            st.integers(-(10**6), 10**6),
+            st.builds(
+                lambda k, d: k * 44100 + d, st.integers(-20, 20), st.integers(-9, 9)
+            ),
+        ),
+        st.one_of(st.integers(0, 300), st.integers(44101, 100000)),
+        st.booleans(),
+    )
+    @example(-10, 20, False)
+    @example(-7, 0, False)
+    @example(0, 10, False)
+    @example(44100 * 3 - 5, 10, True)
+    @example(-50000, 100000, True)
+    @example(0, 44099, True)
+    @example(0, 0, True)
+    def test_wheel_matches_plain_crossing_out(self, lo, width, squarefree):
+        hi = lo + width
+        root = math.isqrt(max(abs(lo), abs(hi)))
+        primes = [p for p in range(2, root + 1) if is_prime(p)]
+        expected = np.ones(width + 1, dtype=bool)
+        for p in primes:
+            step = p * p if squarefree else p
+            first = lo + (-lo) % step
+            if not squarefree:
+                first = max(first, p * p)  # p itself is prime
+            expected[first - lo :: step] = False
+        if squarefree and lo <= 0 <= hi:
+            expected[-lo] = False
+        if not squarefree:
+            expected[: max(0, min(2 - lo, width + 1))] = False
+        primes = np.array(primes, dtype=np.int64)
+        assert np.array_equal(counting._cross_out(lo, hi, primes, squarefree), expected)
 
     @settings(deadline=None, max_examples=60)
     @given(
