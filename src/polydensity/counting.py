@@ -3,7 +3,13 @@
 The lattice points are enumerated on the chunked grid ``poly.grid_chunks``
 (at most ``poly.RESIDUE_CHUNK`` points a chunk), vectorised with numpy;
 every thread count sums the same chunks, and threads pull them a few at a
-time, so memory stays bounded.  ``MultiPoly.evaluate_array`` decides per
+time, so memory stays bounded.  When permuting ``k`` equal variable blocks
+fixes every polynomial and the box (``_exchangeable_group``), the chunks
+come from ``_orbit_chunks`` instead: one point per orbit, the sorted tuples
+``t_1 <= ... <= t_k`` of block points, weighted by the orbit's size
+``k! / prod m_i!``; the largest such group is folded, and
+``x1^2 + x2^2`` evaluates about half its lattice points, ``x1^2 + ... +
+x4^2`` at P = 24 about a fifth.  ``MultiPoly.evaluate_array`` decides per
 chunk whether the values are int64 or exact Python ints.  Membership tests
 read a table from one windowed sieve (``_sieve_bools``), sized to the value
 range [min f, max f] (of |f| for square-freeness) certified by interval
@@ -34,7 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .intervals import interval_eval
-from .poly import Box, MultiPoly, PolynomialError, grid_chunks
+from . import poly
+from .poly import Box, MultiPoly, PolynomialError, _shift, grid_chunks
 
 
 class BudgetExceededError(RuntimeError):
@@ -52,6 +59,21 @@ class SquarefreeUnknownError(BudgetExceededError):
 #: first 13 primes; deterministic Miller-Rabin certificate below this bound
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
+
+#: (bound, k): the first k primes as bases certify every odd m below the
+#: bound, the least strong pseudoprime to all of them (OEIS A014233)
+_MR_GRADES = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (MR_DETERMINISTIC_LIMIT, 13),
+)
 
 _TRIAL_DIVISION_LIMIT = 10**6
 
@@ -77,7 +99,8 @@ def _miller_rabin_witness(n: int, a: int) -> bool:
 
 
 def is_prime_certified(m: int) -> tuple[bool, bool]:
-    """(verdict, certified).  Deterministic below MR_DETERMINISTIC_LIMIT."""
+    """(verdict, certified).  Deterministic below MR_DETERMINISTIC_LIMIT,
+    with the fewest first primes as bases that certify m's size."""
     m = int(m)
     if m <= 1:
         return False, True
@@ -87,7 +110,8 @@ def is_prime_certified(m: int) -> tuple[bool, bool]:
         return False, True
     certified = m < MR_DETERMINISTIC_LIMIT
     if certified:
-        bases = [a for a in _MR_BASES if a < m]
+        k = next(k for bound, k in _MR_GRADES if m < bound)
+        bases = _MR_BASES[:k]
     else:
         rng = random.Random(m % (2**32))
         bases = list(_MR_BASES) + [
@@ -383,20 +407,195 @@ def _value_window(
     return lo, hi
 
 
+def _exchangeable(
+    polys: list[MultiPoly], ranges: list[range], a: tuple[int, ...], b: tuple[int, ...]
+) -> bool:
+    """Swapping the variables of blocks ``a`` and ``b``, the i-th of one for
+    the i-th of the other, fixes the lattice box and every polynomial."""
+    if len(a) != len(b) or any(ranges[i] != ranges[j] for i, j in zip(a, b)):
+        return False
+    swap = dict(zip(a, b)) | dict(zip(b, a))
+    order = [swap.get(i, i) for i in range(len(ranges))]
+    return all(
+        {tuple(e[i] for i in order): c for e, c in f.terms.items()} == f.terms
+        for f in polys
+    )
+
+
+def _exchangeable_group(
+    polys: list[MultiPoly], ranges: list[range]
+) -> list[tuple[int, ...]]:
+    """The largest set of pairwise exchangeable variable blocks of
+    ``polys[0]``, ties going to the larger block grid; [] when no two blocks
+    are exchangeable.  Exchangeability is transitive (a swap of b and c is
+    the swap of a and b conjugating that of a and c), so each block is
+    compared with the first block of each set."""
+    groups: list[list[tuple[int, ...]]] = []
+    for variables, _ in polys[0].variable_blocks()[1]:
+        for group in groups:
+            if _exchangeable(polys, ranges, group[0], variables):
+                group.append(variables)
+                break
+        else:
+            groups.append([variables])
+    best = max(
+        groups,
+        key=lambda g: (len(g), math.prod(len(ranges[i]) for i in g[0])),
+        default=[],
+    )
+    return best if len(best) > 1 else []
+
+
+def _sorted_tuples(n: int, length: int) -> np.ndarray:
+    """The non-decreasing ``length``-tuples over ``range(n)``, one a row, in
+    colex order, so that the first ``comb(t + length, length)`` rows are the
+    tuples with every entry at most t."""
+    tuples = np.zeros((1, 0), dtype=np.int64)
+    counts = np.ones(n, dtype=np.int64)  # comb(t + j, j) for t in range(n)
+    for _ in range(length):
+        starts = np.cumsum(counts) - counts
+        index = np.arange(counts.sum()) - np.repeat(starts, counts)
+        tuples = np.column_stack([tuples[index], np.repeat(np.arange(n), counts)])
+        counts = np.cumsum(counts)
+    return tuples
+
+
+def _orbit_chunks(ranges: list[range], group: list[tuple[int, ...]]):
+    """Chunks ``(coords, weights)`` that list one lattice point per orbit of
+    the permutations of the ``k`` exchangeable blocks ``group``, weighted by
+    the orbit's size ``k! / prod m_i!`` (``m_i`` the multiplicities of the
+    blocks' points).
+
+    Each block's points are numbered 0..n-1 in C order, and an orbit is
+    represented by non-decreasing numbers ``t_1 <= ... <= t_k``.  A row fixes
+    ``t_1..t_{k-1}`` (rows run in colex order, so by their largest entry
+    ``t_{k-1}``) and the column axis runs over ``t_k``.  Rows go in groups
+    whose ``t_{k-1}`` spans fewer than about ``sqrt(limit)`` values [A, B);
+    the columns [B, n) are cut into tiles of about ``sqrt(limit)`` columns,
+    in which every point is a representative, of weight ``k`` times that of
+    its row.  Square tiles keep a chunk's values, and so the table entries
+    it reads, in a narrow window.  The band of columns [t_{k-1}, B) goes in
+    narrower row chunks whose ``t_{k-1}`` spans fewer than ``limit // n``
+    values a..b-1; such a chunk takes the columns [a, B), with weight 0
+    below ``t_{k-1}`` (masked points, evaluated but not counted: fewer
+    than r^2 / 2 for k = 2 and r rows).  The variables outside the group
+    keep :func:`grid_chunks`' layout on trailing axes, and no chunk holds
+    more than ``poly.RESIDUE_CHUNK`` points, masked ones included.
+    """
+    k = len(group)
+    sizes = [len(ranges[i]) for i in group[0]]
+    strides = [math.prod(sizes[j + 1 :]) for j in range(len(sizes))]
+    n = math.prod(sizes)
+    grouped = {i for block in group for i in block}
+    others = [i for i in range(len(ranges)) if i not in grouped]
+    other_ranges = [ranges[i] for i in others]
+    other_points = math.prod(len(r) for r in other_ranges)
+    tail = (
+        other_points
+        if other_points * n <= poly.RESIDUE_CHUNK
+        else max(1, poly.RESIDUE_CHUNK // n)
+    )
+    limit = poly.RESIDUE_CHUNK // tail
+    # the trailing axes of the other variables' chunks
+    extra = (1,) * (next(poly.grid_chunks(other_ranges, tail))[0].ndim if others else 0)
+    placed: dict[int, np.ndarray] = {}
+
+    def place(block, index, shape):
+        for v, stride, size in zip(block, strides, sizes):
+            digits = index if len(block) == 1 else index // stride % size
+            placed[v] = _shift(ranges[v], digits.reshape(shape + extra))
+
+    # offsets[t]: the rows whose largest entry is below t, the partial sums
+    # of comb(t + k - 2, k - 2), the rows whose largest entry is t
+    counts = np.ones(n, dtype=np.int64)
+    for _ in range(k - 2):
+        counts = np.cumsum(counts)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    n_rows = int(offsets[n])
+    inner = _sorted_tuples(n, k - 2)
+    side = max(1, math.isqrt(limit))
+    span = max(1, limit // n)
+
+    def row_chunks(start, stop, t_span, end=None):
+        """Row ranges tiling [start, stop): each spans fewer than ``t_span``
+        values of the largest entry a..b-1, and its rows times its columns,
+        a tile side or [a, end), fit in ``limit``."""
+        r0 = start
+        while r0 < stop:
+            a = int(np.searchsorted(offsets, r0, side="right")) - 1
+            width = min(side, n) if end is None else end - a
+            r1 = min(stop, r0 + max(1, limit // width), int(offsets[min(n, a + t_span)]))
+            yield r0, r1, a
+            r0 = r1
+
+    for R0, R1, _ in row_chunks(0, n_rows, side):
+        rows = np.arange(R0, R1)
+        last = np.searchsorted(offsets, rows, side="right") - 1
+        prefix = np.column_stack([inner[rows - offsets[last]], last])
+        # the row's weight (k-1)! / prod m_i!, built one entry at a time;
+        # run counts the entries equal to the newest one
+        weight = np.ones(len(rows), dtype=np.int64)
+        run = np.ones(len(rows), dtype=np.int64)
+        for j in range(1, k - 1):
+            run = np.where(prefix[:, j] == prefix[:, j - 1], run + 1, 1)
+            weight = weight * (j + 1) // run
+        above = (k * weight)[:, None]  # t_k > t_{k-1}
+        tie = (k * weight // (run + 1))[:, None]  # t_k == t_{k-1}
+        # (rows, columns [lo, hi), masked): the tiles right of the band, in
+        # which every point counts, then the band along the diagonal, in
+        # narrower row chunks whose columns below t_{k-1} are masked
+        B = int(last[-1]) + 1
+        parts = [(slice(None), B, n, False)] + [
+            (slice(r0 - R0, r1 - R0), a, B, True)
+            for r0, r1, a in row_chunks(R0, R1, span, B)
+        ]
+        for part, lo, hi, masked in parts:
+            for block, index in zip(group, prefix[part].T):
+                place(block, index, (-1, 1))
+            width = limit // len(last[part])
+            for c0 in range(lo, hi, width):
+                columns = np.arange(c0, min(hi, c0 + width))
+                place(group[-1], columns, (1, -1))
+                weights = above[part]
+                if masked:
+                    t = last[part, None]
+                    weights = np.where(columns > t, weights, np.where(columns == t, tie[part], 0))
+                weights = weights.reshape(weights.shape + extra)
+                for tail_coords in poly.grid_chunks(other_ranges, tail):
+                    for v, c in zip(others, tail_coords):
+                        placed[v] = c.reshape((1, 1) + c.shape)
+                    yield [placed[v] for v in range(len(ranges))], weights
+
+
+def _weighted_count(mask: np.ndarray, weights: np.ndarray | None) -> int:
+    """The points of ``mask``, each counted ``weights`` times (once when
+    None); the sum runs over the axes along which the weight varies."""
+    if weights is None:
+        return int(np.count_nonzero(mask))
+    if (weights == weights.flat[0]).all():
+        return int(weights.flat[0]) * int(np.count_nonzero(mask))
+    axes = tuple(i for i, w in enumerate(weights.shape) if w == 1)
+    if axes:
+        mask = np.count_nonzero(mask, axis=axes, keepdims=True)
+    return int((mask * weights).sum())
+
+
 def _count_chunk(
     polys: list[MultiPoly],
     coords: list[np.ndarray],
     mode: str,
     tables: list[tuple[int, int, np.ndarray]] | None,
+    weights: np.ndarray | None = None,
 ) -> tuple[int, int]:
-    """(count, undecided) over one grid chunk; ``tables`` holds (lo, hi,
+    """(count, undecided) over one chunk, each point counted ``weights``
+    times (once when None); ``tables`` holds (lo, hi,
     bits) per polynomial, ``bits`` the packed ``_sieve_bools(lo, hi)``,
     whose window lies inside int64.  Without tables each distinct value is tested; a
     point is undecided when no value rules it out and some verdict is not
     certain: a factorisation out of budget, or a prime verdict at or above
     ``MR_DETERMINISTIC_LIMIT``, which is only probable."""
     shape = np.broadcast_shapes(*(c.shape for c in coords))
-    ok = np.ones(shape, dtype=bool)
+    ok = None
     # table verdicts are certain, so only the per-value path keeps a mask
     if tables is None:
         undecided = np.zeros(shape, dtype=bool)
@@ -406,9 +605,11 @@ def _count_chunk(
             # vals is fresh, and int64 once inside the window, so the index
             # is built in place
             lo, hi, bits = tables[idx]
-            if mode == "squarefree":
+            low, high = vals.min(), vals.max()
+            if mode == "squarefree" and low < 0:
                 np.abs(vals, out=vals)
-            if vals.min() < lo or vals.max() > hi:
+                low, high = vals.min(), vals.max()
+            if low < lo or high > hi:
                 raise ArithmeticError("a lattice value lies outside its certified window")
             vals = vals.astype(np.int64, copy=False)
             vals -= lo
@@ -418,7 +619,7 @@ def _count_chunk(
             entry = np.take(bits, vals)
             entry >>= shift
             entry &= 1
-            ok &= entry.view(bool)
+            ok = entry.view(bool) if ok is None else ok & entry.view(bool)
             continue
         if mode == "squarefree":
             vals = abs(vals)
@@ -434,11 +635,15 @@ def _count_chunk(
             else:
                 verdicts[j] = u > 1 and is_prime(u)
                 unsure[j] = verdicts[j] and u >= MR_DETERMINISTIC_LIMIT
-        ok &= verdicts[inverse].reshape(shape)
+        verdict = verdicts[inverse].reshape(shape)
+        ok = verdict if ok is None else ok & verdict
         undecided |= unsure[inverse].reshape(shape)
     if tables is not None:
-        return int(np.count_nonzero(ok)), 0
-    return int((ok & ~undecided).sum()), int((ok & undecided).sum())
+        return _weighted_count(ok, weights), 0
+    return (
+        _weighted_count(ok & ~undecided, weights),
+        _weighted_count(ok & undecided, weights),
+    )
 
 
 def _map_lazily(work, items, threads: int):
@@ -501,11 +706,18 @@ def count_values(
     ):
         tables = [(lo, hi, _sieve_bools(lo, hi, squarefree)) for lo, hi in windows]
 
-    def work(coords) -> tuple[int, int]:
-        return _count_chunk(polys, coords, mode, tables)
+    group = _exchangeable_group(polys, ranges)
+    if group:
+        chunks = _orbit_chunks(ranges, group)
+    else:
+        chunks = ((coords, None) for coords in grid_chunks(ranges))
+
+    def work(chunk) -> tuple[int, int]:
+        coords, weights = chunk
+        return _count_chunk(polys, coords, mode, tables, weights)
 
     count = unknown = 0
-    for chunk_count, chunk_unknown in _map_lazily(work, grid_chunks(ranges), threads):
+    for chunk_count, chunk_unknown in _map_lazily(work, chunks, threads):
         count += chunk_count
         unknown += chunk_unknown
     return CountResult(count, lattice_points, unknown)

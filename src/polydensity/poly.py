@@ -167,17 +167,27 @@ class MultiPoly:
             dtype = np.int64 if int64 else object
             coords = [c.astype(dtype, copy=False) for c in coords]
         shape = np.broadcast_shapes(*(c.shape for c in coords))
-        total = np.zeros(shape, dtype=np.result_type(*coords))
-        for exps, coeff in self._terms.items():
+        # the first two terms are added into a fresh array in one pass
+        total = np.empty(shape, dtype=np.result_type(*coords))
+        first = None
+        for k, (exps, coeff) in enumerate(self._terms.items()):
             term = coeff if modulus is None else coeff % modulus
             for x, e in zip(coords, exps):
                 if e and modulus is None:
                     term = term * x**e
                 elif e:
                     term = term * _pow_mod_array(x, e, modulus) % modulus
-            total += term
+            if k == 0:
+                first = term
+                continue
+            if k == 1:
+                np.add(first, term, out=total)
+            else:
+                total += term
             if modulus is not None:
                 total %= modulus
+        if len(self._terms) == 1:
+            total[...] = first
         return total
 
     def abs_bound(self, radius: Sequence[float]) -> int:
@@ -317,7 +327,7 @@ def _mul(a: dict, b: dict) -> dict:
 RESIDUE_CHUNK = 1 << 18
 
 
-def grid_chunks(ranges: Sequence[range]):
+def grid_chunks(ranges: Sequence[range], limit: int | None = None):
     """Chunks of the grid ``ranges[0] x ranges[1] x ...`` of unit-step
     ranges in C order.
 
@@ -327,14 +337,16 @@ def grid_chunks(ranges: Sequence[range]):
     trailing axes stay whole while they fit in one chunk, so per-axis work
     such as powers is done once per axis; the leading axes share one axis
     that runs over their combined index.  No chunk holds more than
-    ``RESIDUE_CHUNK`` points, and a grid with an empty range has no chunk.
+    ``limit`` points (default ``RESIDUE_CHUNK``), and a grid with an empty
+    range has no chunk.
     """
+    limit = RESIDUE_CHUNK if limit is None else limit
     sizes = [len(r) for r in ranges]
     if 0 in sizes:
         return
     k = len(ranges)
     trailing, block = 0, 1
-    while trailing < k - 1 and block * sizes[k - 1 - trailing] <= RESIDUE_CHUNK:
+    while trailing < k - 1 and block * sizes[k - 1 - trailing] <= limit:
         block *= sizes[k - 1 - trailing]
         trailing += 1
     leading = k - trailing
@@ -345,7 +357,7 @@ def grid_chunks(ranges: Sequence[range]):
         for i, r in enumerate(ranges[leading:])
     ]
     n_rows = math.prod(sizes[:leading])
-    rows = RESIDUE_CHUNK // block
+    rows = limit // block
     for lo in range(0, n_rows, rows):
         index = np.arange(lo, min(n_rows, lo + rows), dtype=np.int64)
         index = index.reshape((-1,) + (1,) * trailing)

@@ -50,6 +50,26 @@ class TestPrimality:
         value, certified = is_prime_certified(10**9 + 7)
         assert value and certified
 
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            2047,
+            1373653,
+            25326001,
+            3215031751,
+            2152302898747,
+            3474749660383,
+            341550071728321,
+            3825123056546413051,
+            318665857834031151167461,
+        ],
+    )
+    def test_each_grade_rejects_its_pseudoprime(self, psi):
+        # psi is a strong pseudoprime to every base of the grade below it,
+        # so it must be tested with the next grade's bases
+        assert is_prime_certified(psi) == (False, True)
+        assert is_prime_certified(psi - 2) == (sympy.isprime(psi - 2), True)
+
 
 class TestSieves:
     def test_primes_upto(self):
@@ -181,6 +201,20 @@ class TestCountValues:
             b = count_values(self.f, large, P, mode="prime").count
             assert b >= a
 
+    def test_largest_exchangeable_group_folds(self):
+        f = parse_polynomial("x1^2 + x2^2 + 2x3^2 + 2x4^2 + 2x5^2", 5)
+        ranges = Box([(1, 2)] * 5).lattice_ranges(3)
+        assert counting._exchangeable_group([f], ranges) == [(2,), (3,), (4,)]
+        # two pairs: the tie goes to the pair with the larger block grid
+        f = parse_polynomial("x1^2 + x2^2 + 2x3^2 + 2x4^2", 4)
+        ranges = Box([(1, 2), (1, 2), (0, 2), (0, 2)]).lattice_ranges(3)
+        assert counting._exchangeable_group([f], ranges) == [(2,), (3,)]
+        ranges = Box([(1, 2), (1, 2), (0, 2), (0, 1)]).lattice_ranges(3)
+        assert counting._exchangeable_group([f], ranges) == [(0,), (1,)]
+        # x1 - x2 is not fixed by the swap
+        f = parse_polynomial("x1 - x2", 2)
+        assert counting._exchangeable_group([f], ranges[:2]) == []
+
     def test_threads_bit_identical(self):
         r1 = count_values(self.f, self.box, 200, mode="squarefree", threads=1)
         r4 = count_values(self.f, self.box, 200, mode="squarefree", threads=4)
@@ -188,6 +222,8 @@ class TestCountValues:
         assert r1.lattice_points == r4.lattice_points
 
     def test_slabs_do_not_depend_on_threads(self, monkeypatch):
+        # x1^2 + 2x2^2 has no exchangeable blocks, so it counts on grid_chunks
+        f = parse_polynomial("x1^2 + 2x2^2", 2)
         seen = {}
         real = counting.grid_chunks
 
@@ -201,13 +237,14 @@ class TestCountValues:
         monkeypatch.setattr(counting, "grid_chunks", record)
         monkeypatch.setattr(poly, "RESIDUE_CHUNK", 50 * 61)
         for threads in (1, 3):
-            count_values(self.f, self.box, 60, mode="prime", threads=threads)
+            count_values(f, self.box, 60, mode="prime", threads=threads)
         assert seen[1] == seen[3] == [(50 * 61, (60, 60)), (11 * 61, (110, 60))]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_chunks_bounded_when_trailing_axes_exceed_limit(self, monkeypatch, threads):
         # 61 points per axis at P = 60; a limit of 40 fits not even one row
-        expected = count_values(self.f, self.box, 60, mode="prime").count
+        f = parse_polynomial("x1^2 + 2x2^2", 2)
+        expected = count_values(f, self.box, 60, mode="prime").count
         sizes = []
         real = MultiPoly.evaluate_array
 
@@ -218,10 +255,64 @@ class TestCountValues:
 
         monkeypatch.setattr(MultiPoly, "evaluate_array", record)
         monkeypatch.setattr(poly, "RESIDUE_CHUNK", 40)
-        got = count_values(self.f, self.box, 60, mode="prime", threads=threads)
+        got = count_values(f, self.box, 60, mode="prime", threads=threads)
         assert got.count == expected
         assert sum(sizes) == 61 * 61
         assert max(sizes) <= 40
+
+    def test_orbit_chunks_do_not_depend_on_threads(self, monkeypatch):
+        seen = {}
+        real = counting._orbit_chunks
+
+        def record(ranges, group):
+            for coords, weights in real(ranges, group):
+                size = math.prod(np.broadcast_shapes(*(c.shape for c in coords)))
+                first = tuple(int(c.flat[0]) for c in coords)
+                seen.setdefault(threads, []).append((size, first, int(weights.sum())))
+                yield coords, weights
+
+        monkeypatch.setattr(counting, "_orbit_chunks", record)
+        monkeypatch.setattr(poly, "RESIDUE_CHUNK", 40)
+        for threads in (1, 3):
+            count_values(self.f, self.box, 60, mode="prime", threads=threads)
+        assert seen[1] == seen[3]
+        assert max(size for size, _, _ in seen[1]) <= 40
+        assert sum(size for size, _, _ in seen[1]) == 61 * 62 // 2
+
+    @pytest.mark.parametrize(
+        "limit, evaluated",
+        [
+            # the band along the diagonal goes one row at a time (40 // 61
+            # rounds up to 1), so no point is masked: 61 * 62 / 2 orbits
+            (40, 61 * 62 // 2),
+            # the rows go in groups of 14 (isqrt(200)) whose bands go three
+            # rows at a time (200 // 61): a 3-row chunk masks the 3 points
+            # below the diagonal of its 3 x 3 corner, a 2-row chunk 1
+            (200, 61 * 62 // 2 + 4 * (4 * 3 + 1) + (3 + 1)),
+        ],
+    )
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_orbit_chunks_bounded(self, monkeypatch, threads, limit, evaluated):
+        brute = sum(
+            1
+            for x in range(60, 121)
+            for y in range(60, 121)
+            if sympy.isprime(x * x + y * y)
+        )
+        sizes = []
+        real = MultiPoly.evaluate_array
+
+        def record(f, coords, modulus=None):
+            values = real(f, coords, modulus)
+            sizes.append(values.size)
+            return values
+
+        monkeypatch.setattr(MultiPoly, "evaluate_array", record)
+        monkeypatch.setattr(poly, "RESIDUE_CHUNK", limit)
+        got = count_values(self.f, self.box, 60, mode="prime", threads=threads)
+        assert (got.count, got.lattice_points) == (brute, 61 * 61)
+        assert sum(sizes) == evaluated
+        assert max(sizes) <= limit
 
     def test_value_outside_window_raises(self, monkeypatch):
         real = counting._value_window

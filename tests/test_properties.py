@@ -275,6 +275,16 @@ class TestExpSumInvariants:
 
 
 class TestArithmeticInvariants:
+    @given(st.one_of(st.integers(-10, 10**4), st.integers(10**4, 10**12)))
+    @example(2046)
+    @example(2047)
+    @example(1373653)
+    @example(25326001)
+    @example(3215031751)
+    @example(2152302898747)
+    def test_graded_bases_match_sympy(self, m):
+        assert is_prime_certified(m) == (sympy.isprime(m), True)
+
     @given(st.integers(1, 10**6))
     def test_squarefree_sign_symmetric(self, m):
         assert is_squarefree(m) == is_squarefree(-m)
@@ -404,6 +414,191 @@ class TestCountingInvariants:
         for x in itertools.product(*ranges):
             v = f.evaluate_int(x)
             assert lo <= (abs(v) if squarefree else v) <= hi
+
+
+@st.composite
+def symmetric_counts(draw):
+    """(polys, box, k, unequal, mode): ``k`` copies of one block form in one
+    or two variables (a two-variable block has an ``x1 x2`` term), with a
+    constant, maybe a distinct one-variable block and a free variable, in a
+    drawn variable order, on unit-scale integer intervals at most 3 points
+    wide that are equal across the copies unless ``unequal`` widens the
+    last copy's first axis.  In joint mode the partner is the form plus a
+    constant, so every copy stays exchangeable."""
+    s = draw(st.integers(1, 2))
+    k = draw(st.integers(1, 4 if s == 1 else 2))
+    coeffs = st.integers(-3, 3).filter(lambda c: c != 0)
+    monomials = [(d,) for d in range(1, 4)] if s == 1 else [
+        (1, 0), (0, 1), (2, 0), (0, 2), (2, 1), (1, 2)
+    ]
+    block = {(1,) * s: draw(coeffs)} if s == 2 else {}
+    for e in draw(st.lists(st.sampled_from(monomials), max_size=2, unique=True)):
+        block[e] = draw(coeffs)
+    if not block:
+        block[(draw(st.integers(1, 3)),)] = draw(coeffs)
+    extra = draw(st.booleans())
+    free = draw(st.integers(0, 1))
+    n = s * k + extra + free
+    order = draw(st.permutations(range(n)))
+    terms = {(0,) * n: draw(st.integers(-5, 5))}
+    for copy in range(k + extra):
+        for e, c in (block.items() if copy < k else {(1,): 2, (3,): 1}.items()):
+            exps = [0] * n
+            for j, power in enumerate(e):
+                exps[order[copy * s + j]] = power
+            terms[tuple(exps)] = c
+    f = MultiPoly(n, terms)
+    corners = [draw(st.integers(-3, 3)) for _ in range(n)]
+    widths = [draw(st.integers(0, 2)) for _ in range(n)]
+    for copy in range(1, k):
+        for j in range(s):
+            corners[copy * s + j], widths[copy * s + j] = corners[j], widths[j]
+    unequal = k > 1 and draw(st.booleans())
+    if unequal:
+        widths[(k - 1) * s] += 1
+    axes = [None] * n
+    for i in range(n):
+        axes[order[i]] = (corners[i], corners[i] + widths[i])
+    mode = draw(st.sampled_from(["prime", "squarefree", "joint"]))
+    shift = MultiPoly(n, {(0,) * n: draw(st.integers(1, 4))})
+    polys = [f, f + shift] if mode == "joint" else [f]
+    return polys, Box(axes), k, unequal, mode
+
+
+def brute_count(polys, box, P, mode):
+    """(count, undecided) over every lattice point, one value test each."""
+    count = unknown = 0
+    for x in itertools.product(*box.lattice_ranges(P)):
+        values = [f.evaluate_int(x) for f in polys]
+        if mode == "squarefree":
+            try:
+                count += counting.is_squarefree(values[0])
+            except counting.SquarefreeUnknownError:
+                unknown += 1
+        else:
+            count += all(v > 1 and is_prime(v) for v in values)
+    return count, unknown
+
+
+def pair_layout_points(n, limit):
+    """Points the orbit layout evaluates for two exchangeable one-axis
+    blocks of n points each: tiles of ``side`` rows right of the diagonal
+    band, each row group's band in chunks of at most ``limit // n`` rows
+    that start at their first row's column."""
+    side = math.isqrt(limit)
+    outer = min(max(1, limit // min(side, n)), side)
+    span = max(1, limit // n)
+    points = 0
+    for A in range(0, n, outer):
+        B = min(n, A + outer)
+        points += (B - A) * (n - B)
+        a = A
+        while a < B:
+            b = min(B, a + max(1, limit // (B - a)), a + span)
+            points += (b - a) * (B - a)
+            a = b
+    return points
+
+
+def evaluated_points(polys, box, P, mode):
+    """(result, points evaluated per polynomial) of one ``count_values``."""
+    sizes = []
+    real = MultiPoly.evaluate_array
+
+    def record(f, coords, modulus=None):
+        values = real(f, coords, modulus)
+        sizes.append(values.size)
+        return values
+
+    with mock.patch.object(MultiPoly, "evaluate_array", record):
+        result = count_values(polys, box, P, mode)
+    return result, sum(sizes) // len(polys)
+
+
+class TestOrbitCounting:
+    @settings(deadline=None, max_examples=80)
+    @given(symmetric_counts(), st.integers(1, 40))
+    def test_orbit_count_matches_brute_force(self, case, limit):
+        polys, box, k, unequal, mode = case
+        brute = brute_count(polys, box, 1, mode)
+        with mock.patch.object(poly, "RESIDUE_CHUNK", limit):
+            table, evaluated = evaluated_points(polys, box, 1, mode)
+            with mock.patch.object(counting, "TABLE_LIMIT", 0):
+                per_value = count_values(polys, box, 1, mode)
+        lattice_points = box.lattice_point_count(1)
+        for got in (table, per_value):
+            assert (got.count, got.unknown_values) == brute
+            assert got.lattice_points == lattice_points
+        assert evaluated <= lattice_points
+        if k == 1 or (k == 2 and unequal):
+            assert evaluated == lattice_points
+
+    def test_non_invariant_joint_partner_evaluates_every_point(self):
+        polys = [parse_polynomial("x1 + x2", 2), parse_polynomial("x1 + 2x2", 2)]
+        box = Box([(0, 20)] * 2)
+        with mock.patch.object(poly, "RESIDUE_CHUNK", 3 * 21):
+            result, evaluated = evaluated_points(polys, box, 1, "joint")
+            assert evaluated == 21 * 21
+            assert (result.count, result.unknown_values) == brute_count(
+                polys, box, 1, "joint"
+            )
+            # an invariant pair folds: x1 + x2 and x1 + x2 + 2.  Rows go in
+            # groups of 7, whose bands go in chunks of 3, 3 and 1 rows; a
+            # 3-row chunk masks the 3 points below its corner's diagonal
+            polys = [polys[0], polys[0] + parse_polynomial("2", 2)]
+            result, evaluated = evaluated_points(polys, box, 1, "joint")
+            assert evaluated == pair_layout_points(21, 3 * 21) == 21 * 22 // 2 + 6 * 3
+            assert (result.count, result.unknown_values) == brute_count(
+                polys, box, 1, "joint"
+            )
+
+    def test_diagonal_four_squares_evaluates_one_point_per_multiset(self):
+        f = parse_polynomial("x1^2 + x2^2 + x3^2 + x4^2", 4)
+        box = Box([(1, 2)] * 4)
+        result, evaluated = evaluated_points([f], box, 4, "prime")
+        # one chunk: the 35 sorted triples (x1, x2, x3) times the columns
+        # of x4, all five of them since the first row's largest entry is 4
+        assert evaluated == 35 * 5
+        assert (result.count, result.unknown_values) == brute_count([f], box, 4, "prime")
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.sampled_from(["prime", "squarefree", "joint"]), st.integers(-9, 9))
+    def test_exchangeable_pair_past_int64(self, mode, c):
+        # object coordinates near 2^63; x1 + x2 - 2^64 stays in [-40, 40]
+        f = parse_polynomial(f"x1 + x2 - {2**64} + {c}", 2)
+        polys = [f, f + parse_polynomial("2", 2)] if mode == "joint" else [f]
+        box = Box([(2**63 - 20, 2**63 + 20)] * 2)
+        with mock.patch.object(poly, "RESIDUE_CHUNK", 3 * 41):
+            result, evaluated = evaluated_points(polys, box, 1, mode)
+            with mock.patch.object(counting, "TABLE_LIMIT", 0):
+                per_value = count_values(polys, box, 1, mode)
+        assert evaluated == pair_layout_points(41, 3 * 41) < 41 * 41
+        brute = brute_count(polys, box, 1, mode)
+        assert (result.count, result.unknown_values) == brute
+        assert (per_value.count, per_value.unknown_values) == brute
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.sets(st.integers(0, 60), max_size=12), st.integers(0, 3))
+    def test_undecided_values_weighted_like_the_plain_path(self, undecided, shift):
+        # per-value path with a stub that cannot decide the chosen values
+        f = parse_polynomial(f"x1^2 + x2^2 + {shift}", 2)
+        box = Box([(0, 5)] * 2)
+        real = counting.is_squarefree
+
+        def stub(m):
+            if m in undecided:
+                raise counting.SquarefreeUnknownError(f"stub {m}")
+            return real(m)
+
+        with mock.patch.object(counting, "is_squarefree", stub), mock.patch.object(
+            counting, "TABLE_LIMIT", 0
+        ):
+            folded = count_values(f, box, 1, "squarefree")
+            with mock.patch.object(counting, "_exchangeable_group", lambda *a: []):
+                plain = count_values(f, box, 1, "squarefree")
+            brute = brute_count([f], box, 1, "squarefree")
+        assert (folded.count, folded.unknown_values) == brute
+        assert (plain.count, plain.unknown_values) == brute
 
 
 class TestGridChunks:
@@ -683,8 +878,15 @@ class TestCircleMethodInvariants:
         assert gap <= 2 * integrals.OSCILLATORY_TOL
         # a few ulps of the unit-sized products on top of both estimates
         assert gap <= got.abs_error_estimate + whole.abs_error_estimate + 1e-14
-        # the reported error is the bound on the product of the blocks
-        used = {i for variables, _ in f0.variable_blocks()[1] for i in variables}
+        # the reported error is the bound on the product of the blocks, where
+        # blocks equal as polynomials on equal intervals share one integral
+        blocks = f0.variable_blocks()[1]
+        keys = [(g, Box(box.intervals[i] for i in variables)) for variables, g in blocks]
+        shared = dict(zip(dict.fromkeys(keys), parts))
+        assert len(shared) == len(parts)
+        # a box of volume 0 integrates no block
+        factors = [shared[key] for key in keys] if parts else []
+        used = {i for variables, _ in blocks for i in variables}
         free = math.prod(
             float(b - a) for i, (a, b) in enumerate(box.intervals) if i not in used
         )
@@ -692,10 +894,10 @@ class TestCircleMethodInvariants:
             part.abs_error_estimate
             * math.prod(
                 abs(other.value) + other.abs_error_estimate
-                for other in parts
-                if other is not part
+                for k, other in enumerate(factors)
+                if k != j
             )
-            for part in parts
+            for j, part in enumerate(factors)
         )
         assert math.isclose(got.abs_error_estimate, bound, rel_tol=1e-12)
         assert got.evaluations == sum(part.evaluations for part in parts)

@@ -14,6 +14,7 @@ import polydensity.verify
 from polydensity import (
     Box,
     ConfigError,
+    MultiPoly,
     check_hypotheses,
     count_values,
     parse_config,
@@ -223,11 +224,7 @@ class TestParseConfig:
                 parse_config(base_config(**{key: {}}))
 
     def test_benchmark_configs_parse(self):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = _load_workloads()
         parsed = 0
         for name in workloads.WORKLOADS:
             for seed in range(4):
@@ -238,7 +235,38 @@ class TestParseConfig:
         assert parsed == 12
 
 
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 class TestRunExperiment:
+    @pytest.mark.parametrize(
+        "name, ceiling",
+        # every lattice point: 21014003 and 549507; one per orbit of the
+        # exchangeable x_i^2 (plus masked points): 10887338 and 104310
+        [("squarefree-binary", 11_200_000), ("prime-quaternary", 137_000)],
+    )
+    def test_lattice_points_evaluated_once_per_orbit(self, monkeypatch, name, ceiling):
+        config = _load_workloads().make_spec(name, 0, 2)["config"]
+        evaluated = []
+        real = MultiPoly.evaluate_array
+
+        def counted(f, coords, modulus=None):
+            values = real(f, coords, modulus)
+            if modulus is None and values.dtype.kind in "iO":
+                evaluated.append(values.size)
+            return values
+
+        monkeypatch.setattr(MultiPoly, "evaluate_array", counted)
+        report = run_experiment(config)
+        assert len(report.rows) == 3
+        assert sum(evaluated) < ceiling
+
     def test_squarefree_experiment(self):
         report = run_experiment(base_config())
         assert report.hypothesis.all_passed
