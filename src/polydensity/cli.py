@@ -162,12 +162,12 @@ def _cmd_expsum(args) -> int:
         raise ConfigError("q must be a positive integer")
     f = cfg["polys"][0]
     try:
-        table = ExpSumTable.build(f, args.q, budget=cfg["budget"])
+        table = ExpSumTable.build(f, args.q)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     header, *rows = table.csv_rows()
-    rows.append([str(args.q), "T_f", repr(t_f(f, args.q, budget=cfg["budget"])), ""])
+    rows.append([str(args.q), "T_f", repr(t_f(f, args.q)), ""])
     rows.append([str(args.q), "G", str(big_g(args.q)), ""])
     _write(csv_text(header, rows), args.out)
     return EXIT_OK

@@ -376,6 +376,9 @@ def is_squarefree(m: int) -> bool:
 #: 25 MB, plus one unpacked segment of 8 MB while it is sieved
 TABLE_LIMIT = 2 * 10**8
 
+#: most lattice points (one per orbit when blocks fold) one count evaluates
+LATTICE_BUDGET = 10**9
+
 #: sieve entries that cost about one value test, per mode.  A prime entry
 #: of the wheel-presieved packed table costs ~4.6 ns (a 10^7-entry window
 #: near 10^8) to ~18 ns (near 10^12, where the window crosses out 78498 base
@@ -668,11 +671,12 @@ def count_values(
     box: Box,
     P: int,
     mode: str,
-    budget: int = 10**9,
     threads: int = 1,
 ) -> CountResult:
     """Exact count of lattice points of P*box where f takes prime /
-    square-free / jointly prime values."""
+    square-free / jointly prime values.  ``LATTICE_BUDGET`` bounds the
+    points evaluated: with ``k`` exchangeable blocks of ``N`` points folded,
+    ``comb(N + k - 1, k)`` orbits times the other variables' points."""
     polys = list(f) if isinstance(f, (list, tuple)) else [f]
     if mode not in ("prime", "squarefree", "joint"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -688,9 +692,12 @@ def count_values(
     lattice_points = box.lattice_point_count(P)
     if lattice_points == 0:
         return CountResult(0, 0)
-    if lattice_points > budget:
+    group = _exchangeable_group(polys, ranges)
+    k, N = len(group), math.prod(len(ranges[i]) for i in group[0]) if group else 1
+    evaluated = math.comb(N + k - 1, k) * (lattice_points // N**k)
+    if evaluated > LATTICE_BUDGET:
         raise BudgetExceededError(
-            f"{lattice_points} lattice points exceed budget {budget}"
+            f"{evaluated} lattice points exceed budget {LATTICE_BUDGET}"
         )
 
     squarefree = mode == "squarefree"
@@ -706,7 +713,6 @@ def count_values(
     ):
         tables = [(lo, hi, _sieve_bools(lo, hi, squarefree)) for lo, hi in windows]
 
-    group = _exchangeable_group(polys, ranges)
     if group:
         chunks = _orbit_chunks(ranges, group)
     else:

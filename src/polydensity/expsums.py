@@ -26,7 +26,7 @@ from .intervals import value_range
 from .localcounts import residue_histogram
 from .poly import Box, MultiPoly, grid_chunks
 
-#: most residues, lattice points or grid entries one sum sweeps
+#: most lattice points or grid entries one lattice sum or count sweeps
 SWEEP_BUDGET = 10**8
 #: longest integer interval a W- or Q-sum sieves
 INTERVAL_BUDGET = 10**9
@@ -49,7 +49,7 @@ def complete_exp_sum(f: MultiPoly, a: int, q: int) -> complex:
         return complex(1.0)
     if math.gcd(a, q) != 1:
         raise ValueError(f"gcd({a}, {q}) != 1")
-    return complex(_spectrum(residue_histogram(f, q, SWEEP_BUDGET))[a % q])
+    return complex(_spectrum(residue_histogram(f, q))[a % q])
 
 
 @dataclass
@@ -60,10 +60,10 @@ class ExpSumTable:
     values: dict[int, complex]
 
     @classmethod
-    def build(cls, f: MultiPoly, q: int, budget: int = 10**8) -> "ExpSumTable":
+    def build(cls, f: MultiPoly, q: int) -> "ExpSumTable":
         if q == 1:
             return cls(1, {0: complex(1.0)})
-        spectrum = _spectrum(residue_histogram(f, q, budget))
+        spectrum = _spectrum(residue_histogram(f, q))
         return cls(q, {a: complex(spectrum[a]) for a in _coprime_residues(q)})
 
     def csv_rows(self) -> list[list[str]]:
@@ -74,11 +74,11 @@ class ExpSumTable:
         return rows
 
 
-def t_f(f: MultiPoly, q: int, budget: int = 10**8) -> float:
+def t_f(f: MultiPoly, q: int) -> float:
     """T_f(q) = q^{-n} * sum over a coprime to q of |S_{a,q}|."""
     if q == 1:
         return 1.0
-    spectrum = _spectrum(residue_histogram(f, q, budget))
+    spectrum = _spectrum(residue_histogram(f, q))
     return float(np.sum(np.abs(spectrum[_coprime_residues(q)]))) / q**f.n_vars
 
 
@@ -349,7 +349,7 @@ def observatory_check(f: MultiPoly, p: int) -> tuple[float, int]:
     imaginary part of the lhs and the lhs-rhs gap are below 1e-6 * p^n.
     """
     n = f.n_vars
-    hist = residue_histogram(f, p, SWEEP_BUDGET)
+    hist = residue_histogram(f, p)
     lhs = complex(np.sum(_spectrum(hist)[1:]))
     rhs = -(p**n) + p * int(hist[0])
     tol = 1e-6 * p**n

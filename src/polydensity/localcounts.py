@@ -37,23 +37,27 @@ import numpy as np
 from .counting import BudgetExceededError, is_prime, primes_upto
 from .poly import MultiPoly, PolynomialError, common_zeros, grid_chunks
 
+#: most residues one zero count visits: the distinct blocks' residues, q^2
+#: per convolution, and mod p^2 the tuples of the blocks' critical values
+RESIDUE_BUDGET = 10**9
 
-def residue_histogram(f: MultiPoly, q: int, budget: int = 10**8) -> np.ndarray:
+
+def residue_histogram(f: MultiPoly, q: int) -> np.ndarray:
     """#{x in (Z/qZ)^n : f(x) = c mod q} for c = 0..q-1, exact int64.
 
     ``f`` is split into parts in disjoint variable blocks,
     ``f = c + sum_j g_j(x_{A_j})``; each distinct block is swept once over
     its own ``q^{|A_j|}`` residues and the block histograms are folded
     together by cyclic convolution mod ``q``.  A variable in no monomial
-    multiplies every count by ``q``.  The budget is checked against the full
-    ``q^n``, as for a sweep of the whole grid.
+    multiplies every count by ``q``.  ``RESIDUE_BUDGET`` is checked against
+    that work: the distinct blocks' residues plus ``q^2`` per convolution.
     """
     n = f.n_vars
-    if q**n > budget:
-        raise BudgetExceededError(f"{q}^{n} exceeds budget {budget}")
     if q**n >= 2**63:
         raise BudgetExceededError(f"{q}^{n} residue counts overflow int64")
     constant, blocks = f.variable_blocks()
+    sizes = {g: len(variables) for variables, g in blocks}
+    _check_work(sum(q**m for m in sizes.values()) + q * q * max(len(blocks) - 1, 0))
     hist = None
     swept: dict[MultiPoly, np.ndarray] = {}
     for variables, g in blocks:
@@ -77,10 +81,10 @@ def residue_histogram(f: MultiPoly, q: int, budget: int = 10**8) -> np.ndarray:
     return np.roll(hist, constant % q) * q**free
 
 
-def count_zeros_mod(f: MultiPoly, modulus: int, budget: int = 10**8) -> int:
+def count_zeros_mod(f: MultiPoly, modulus: int) -> int:
     """Exact #{x in (Z/modulus Z)^n : f(x) = 0} for modulus p or p^2."""
     p, k = _prime_power_shape(modulus)
-    n_p = int(residue_histogram(f, p, budget)[0])
+    n_p = int(residue_histogram(f, p)[0])
     if k == 1 or n_p == 0:
         return n_p
     # modulus = p^2: a root r mod p where some partial derivative is a unit
@@ -93,6 +97,7 @@ def count_zeros_mod(f: MultiPoly, modulus: int, budget: int = 10**8) -> int:
     constant, blocks = f.variable_blocks()
     swept = {g: _critical_values(g, p, modulus) for g in {g for _, g in blocks}}
     tallies = [swept[g] for _, g in blocks]
+    _check_work(math.prod(len(values) for values, _ in tallies))
     singular = lifted = 0
     for index in grid_chunks([range(len(values)) for values, _ in tallies]):
         total, weight = np.asarray(constant % modulus), np.asarray(1)
@@ -105,6 +110,11 @@ def count_zeros_mod(f: MultiPoly, modulus: int, budget: int = 10**8) -> int:
     n = f.n_vars
     free = p ** (n - sum(len(variables) for variables, _ in blocks))
     return (n_p - singular * free) * p ** (n - 1) + lifted * free * p**n
+
+
+def _check_work(work: int) -> None:
+    if work > RESIDUE_BUDGET:
+        raise BudgetExceededError(f"{work} residues exceed budget {RESIDUE_BUDGET}")
 
 
 def _critical_values(
@@ -158,20 +168,18 @@ def fixed_prime_divisors(f: MultiPoly) -> set[int]:
 # ---------------------------------------------------------------------------
 
 
-def prime_euler_factor(f: MultiPoly, p: int, budget: int = 10**8) -> Fraction:
+def prime_euler_factor(f: MultiPoly, p: int) -> Fraction:
     """(1 - N_p / p^n) / (1 - 1/p) with N_p = #{f = 0 over F_p^n}: the joint
     factor of the one polynomial f."""
-    return joint_euler_factor([f], p, budget)
+    return joint_euler_factor([f], p)
 
 
-def squarefree_euler_factor(f: MultiPoly, p: int, budget: int = 10**8) -> Fraction:
+def squarefree_euler_factor(f: MultiPoly, p: int) -> Fraction:
     """1 - N_{p^2} / p^{2n} with N_{p^2} = #{f = 0 over (Z/p^2 Z)^n}."""
-    return 1 - Fraction(count_zeros_mod(f, p * p, budget), p ** (2 * f.n_vars))
+    return 1 - Fraction(count_zeros_mod(f, p * p), p ** (2 * f.n_vars))
 
 
-def joint_euler_factor(
-    polys: Sequence[MultiPoly], p: int, budget: int = 10**8
-) -> Fraction:
+def joint_euler_factor(polys: Sequence[MultiPoly], p: int) -> Fraction:
     """(1 - N_p / p^n) / (1 - 1/p)^r with N_p counting zeros of the product.
 
     The union of the r zero sets is swept once via the product polynomial,
@@ -181,7 +189,7 @@ def joint_euler_factor(
     prod = polys[0]
     for g in polys[1:]:
         prod = prod * g
-    count = count_zeros_mod(prod, p, budget)
+    count = count_zeros_mod(prod, p)
     return (1 - Fraction(count, p**n)) / (1 - Fraction(1, p)) ** len(polys)
 
 
@@ -202,7 +210,6 @@ def euler_product(
     mode: str,
     cutoff: int,
     sigma: int = 0,
-    budget: int = 10**8,
     force: bool = False,
 ) -> EulerProductEstimate:
     """Truncated singular series over p <= cutoff, with an empirical tail.
@@ -236,9 +243,9 @@ def euler_product(
     tail_window: deque[tuple[int, Fraction]] = deque(maxlen=10)
     for p in map(int, primes_upto(cutoff)):
         if mode == "squarefree":
-            factor = squarefree_euler_factor(polys[0], p, budget)
+            factor = squarefree_euler_factor(polys[0], p)
         else:
-            factor = joint_euler_factor(polys, p, budget)
+            factor = joint_euler_factor(polys, p)
         value *= factor
         tail_window.append((p, factor))
 

@@ -47,7 +47,7 @@ MODES = {
 
 #: the keys of an experiment config; ``parse_config`` refuses any other
 _REQUIRED_KEYS = ("polynomials", "box", "mode", "P_grid", "euler_cutoff")
-_OPTIONAL_KEYS = ("sigma_override", "force", "threads", "budget")
+_OPTIONAL_KEYS = ("sigma_override", "force", "threads")
 
 #: largest residue sweep p^n of the primes behind the sigma estimate
 _SIGMA_BUDGET = 2 * 10**6
@@ -103,10 +103,14 @@ def check_hypotheses(
         return f"{name}-{i}" if joint else name
 
     sigma: SigmaEstimate | None = None
+    sigma_problem = ""
     if sigma_override is not None:
         sigma = SigmaEstimate(value=int(sigma_override), method="user-supplied")
     elif not joint:
-        sigma = singular_dimension_estimate(f.top_degree_part(), _sigma_primes(n))
+        try:
+            sigma = singular_dimension_estimate(f.top_degree_part(), _sigma_primes(n))
+        except PolynomialError as exc:  # a sweep past poly.SIGMA_BUDGET
+            sigma_problem = str(exc)
 
     checks: list[HypothesisCheck] = []
     for i, g in enumerate(poly_list, start=1):
@@ -130,20 +134,18 @@ def check_hypotheses(
             )
         )
     else:
-        d, margin = f.degree, n - sigma.value
-        if mode == "prime":
-            required = max(4, (d - 1) * 2 ** (d - 1) + 1)
-            rel, ok = ">=", margin >= required
-        else:
-            required = max(1.0, (d - 1) * 2**d / 3)
-            rel, ok = ">", margin > required
-        checks.append(
-            HypothesisCheck(
-                "singular-locus-margin",
-                "pass" if ok else "fail",
-                f"n - sigma = {margin}, needs {rel} {required:g}",
-            )
-        )
+        status, detail = "unknown", sigma_problem
+        if sigma is not None:
+            d, margin = f.degree, n - sigma.value
+            if mode == "prime":
+                required = max(4, (d - 1) * 2 ** (d - 1) + 1)
+                rel, ok = ">=", margin >= required
+            else:
+                required = max(1.0, (d - 1) * 2**d / 3)
+                rel, ok = ">", margin > required
+            status = "pass" if ok else "fail"
+            detail = f"n - sigma = {margin}, needs {rel} {required:g}"
+        checks.append(HypothesisCheck("singular-locus-margin", status, detail))
 
     for i, g in enumerate(poly_list, start=1):
         try:
@@ -158,13 +160,16 @@ def check_hypotheses(
     if mode != "squarefree":
         product = math.prod(poly_list[1:], start=poly_list[0])
         content = product.content()
-        if content != 1:
-            detail = f"content {content} > 1: every value shares a fixed factor"
-        elif divisors := fixed_prime_divisors(product):
-            detail = f"fixed prime divisors {sorted(divisors)}: prime density vanishes"
-        else:
-            detail = ""
-        status = "fail" if detail else "pass"
+        try:
+            if content != 1:
+                detail = f"content {content} > 1: every value shares a fixed factor"
+            elif divisors := fixed_prime_divisors(product):
+                detail = f"fixed prime divisors {sorted(divisors)}: prime density vanishes"
+            else:
+                detail = ""
+            status = "fail" if detail else "pass"
+        except BudgetExceededError as exc:
+            status, detail = "unknown", str(exc)
         checks.append(HypothesisCheck("no-fixed-prime-divisor", status, detail))
 
     return HypothesisReport(mode=MODES[mode], checks=checks, sigma_used=sigma)
@@ -184,7 +189,7 @@ def parse_config(config: dict) -> dict:
     """Validate the experiment config and parse its polynomial/box fields.
 
     Returns a dict with keys: polys, box, mode, P_grid, euler_cutoff,
-    sigma_override, force, threads, budget.  An unknown key is refused, so
+    sigma_override, force, threads.  An unknown key is refused, so
     a misspelt option never goes unnoticed.
     """
     if not isinstance(config, dict):
@@ -243,9 +248,6 @@ def parse_config(config: dict) -> dict:
     threads = config.get("threads", 1)
     if not _is_int(threads) or threads < 1:
         raise ConfigError("threads must be a positive integer")
-    budget = config.get("budget", 10**9)
-    if not _is_int(budget) or budget < 1:
-        raise ConfigError("budget must be a positive integer")
     return {
         "polys": polys,
         "box": box,
@@ -255,7 +257,6 @@ def parse_config(config: dict) -> dict:
         "sigma_override": sigma_override,
         "force": force,
         "threads": threads,
-        "budget": budget,
     }
 
 
@@ -266,7 +267,6 @@ def euler_for(cfg: dict, sigma: SigmaEstimate | None) -> EulerProductEstimate:
         cfg["mode"],
         cutoff=cfg["euler_cutoff"],
         sigma=sigma.value if sigma else 0,
-        budget=cfg["budget"],
         force=cfg["force"],
     )
 
@@ -279,7 +279,6 @@ def count_for(cfg: dict, P: int) -> tuple[CountResult, str | None]:
         cfg["box"],
         P,
         mode=cfg["mode"],
-        budget=cfg["budget"],
         threads=cfg["threads"],
     )
     if counted.unknown_values:

@@ -5,8 +5,13 @@ line (run pytest with -s to see them as they happen; they also appear in
 captured output).
 """
 
+import itertools
+import json
 import math
 import random
+from fractions import Fraction
+
+import numpy as np
 
 from polydensity import (
     Box,
@@ -15,6 +20,7 @@ from polydensity import (
     big_g_from_definition,
     count_values,
     euler_product,
+    is_squarefree,
     laurent_expansion,
     li_f,
     observatory_check,
@@ -23,8 +29,10 @@ from polydensity import (
     parse_polynomial,
     primes_upto,
     run_experiment,
+    squarefree_euler_factor,
     t_f,
 )
+from polydensity.cli import main
 from polydensity.reports import to_csv
 
 
@@ -231,3 +239,44 @@ def test_11_determinism_across_threads():
     ]
     csv_ok = to_csv(reports[0]) == to_csv(reports[1])
     _check(11, "determinism-across-threads", counts_ok and csv_ok)
+
+
+def test_12_squarefree_cubic(tmp_path):
+    # the paper's square-free regime for cubics: n - sigma = 6 > 2 * 8 / 3
+    config = {
+        "polynomials": ["x1^3 + x2^3 + x3^3 + x4^3 + x5^3 + x6^3"],
+        "box": [[1, 2]] * 6,
+        "mode": "squarefree",
+        "P_grid": [6, 10],
+        "euler_cutoff": 60,
+    }
+    path, out = tmp_path / "cubic.json", tmp_path / "report.json"
+    path.write_text(json.dumps(config))
+    code = main(["verify", str(path), "--out", str(out)])
+    rows = json.loads(out.read_text())["rows"]
+
+    # every point of [6, 12]^6, tested one by one
+    cubes = [x**3 for x in range(6, 13)]
+    brute = sum(
+        is_squarefree(sum(point)) for point in itertools.product(cubes, repeat=6)
+    )
+    count_ok = rows[0]["lattice_points"] == 7**6 and rows[0]["empirical"] == brute
+
+    f = parse_polynomial(config["polynomials"][0], 6)
+    factors_ok = True
+    for p in (2, 3):
+        m = p * p
+        values = sum(
+            np.arange(m).reshape((m,) + (1,) * (5 - i)) ** 3 for i in range(6)
+        )
+        zeros = int(np.count_nonzero(values % m == 0))
+        factors_ok = factors_ok and squarefree_euler_factor(f, p) == 1 - Fraction(
+            zeros, m**6
+        )
+    ratios = ", ".join(f"P={row['P']}: {row['ratio']:.4f}" for row in rows)
+    _check(
+        12,
+        "squarefree-cubic",
+        code == 0 and len(rows) == 2 and count_ok and factors_ok,
+        f"ratios {ratios}",
+    )

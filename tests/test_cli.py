@@ -179,6 +179,34 @@ class TestCheck:
         assert code == 2
         assert "fail" in capsys.readouterr().out
 
+    def test_fixed_divisor_refusal_is_unknown(self, write_config, capsys):
+        # one block of 30 variables: the count mod 2 needs 2^30 residues
+        chain = " + ".join(f"x{i}x{i + 1}" for i in range(1, 30)) + " + 1"
+        cfg = write_config(
+            polynomials=[chain], box=[[1, 2]] * 30, mode="prime", sigma_override=0
+        )
+        assert main(["check", cfg]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert (
+            f"[unknown] no-fixed-prime-divisor: {2**30} residues exceed budget 1000000000"
+        ) in lines
+        assert sum("[ pass  ]" in line for line in lines) == 3
+
+    def test_sigma_refusal_is_unknown(self, write_config, capsys):
+        # the sigma estimate would sweep 3^17 residues
+        squares = " + ".join(f"x{i}^2" for i in range(1, 18))
+        cfg = write_config(polynomials=[squares], box=[[1, 2]] * 17, mode="prime")
+        assert main(["check", cfg]) == 2
+        out = capsys.readouterr().out
+        assert "sigma:" not in out
+        assert (
+            "[unknown] singular-locus-margin: budget exceeded: 3^17 > 100000000"
+        ) in out.splitlines()
+        cfg = write_config(
+            polynomials=[squares], box=[[1, 2]] * 17, mode="prime", sigma_override=0
+        )
+        assert main(["check", cfg]) == 0
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["check", str(tmp_path / "nope.json")])
         assert code == 4
@@ -227,16 +255,18 @@ class TestDensities:
         )
         assert code == 0
 
-    def test_euler_budget_exit(self, write_config, capsys):
+    def test_euler_budget_exit(self, write_config, monkeypatch, capsys):
+        # one sweep of the block x^2 and three convolutions: 17 + 3 * 17^2 =
+        # 884 residues at p = 17, 19 + 3 * 19^2 = 1102 at p = 19
+        monkeypatch.setattr(polydensity.localcounts, "RESIDUE_BUDGET", 1000)
         cfg = write_config(
             polynomials=["x1^2 + x2^2 + x3^2 + x4^2"],
             box=[[1, 2]] * 4,
             mode="prime",
             euler_cutoff=48,
-            budget=1000,
         )
         assert main(["densities", cfg]) == 3
-        assert "euler product: 7^4 exceeds budget 1000" in capsys.readouterr().err
+        assert "euler product: 1102 residues exceed budget 1000" in capsys.readouterr().err
 
     def test_unconverged_li_exit(self, write_config, monkeypatch, capsys):
         real = polydensity.verify.li_f
@@ -273,15 +303,14 @@ class TestExpsum:
         assert main(["expsum", write_config(), "--q", "0"]) == 4
 
     def test_budget(self, write_config):
-        cfg = write_config(
-            polynomials=["x1^2 + x2^2"], budget=10
-        )
-        assert main(["expsum", cfg, "--q", "97"]) == 3
+        # one sweep of 40000 residues and a convolution of 40000^2 = 1.6e9
+        cfg = write_config(polynomials=["x1^2 + x2^2"])
+        assert main(["expsum", cfg, "--q", "40000"]) == 3
 
 
     def test_tf_row_past_old_budget(self, write_config, capsys):
         cfg = write_config(
-            polynomials=["x1^3 + 2x2^3 + 3x3^3"], box=[[1, 2]] * 3, budget=10**7
+            polynomials=["x1^3 + 2x2^3 + 3x3^3"], box=[[1, 2]] * 3
         )
         assert main(["expsum", cfg, "--q", "200"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
@@ -300,7 +329,8 @@ class TestCount:
         assert 0 < int(cnt) <= 21 * 21
 
     def test_budget(self, write_config, capsys):
-        cfg = write_config(P_grid=[10, 10**6], budget=10**6)
+        # about 5e11 orbits of (x1, x2) at P = 10^6
+        cfg = write_config(P_grid=[10, 10**6])
         assert main(["count", cfg]) == 3
         assert "budget" in capsys.readouterr().err
 
@@ -346,7 +376,7 @@ class TestVerify:
         assert main(["verify", write_config(mode="prime")]) == 2
 
     def test_budget_exit(self, write_config):
-        cfg = write_config(P_grid=[10, 10**6], budget=10**6)
+        cfg = write_config(P_grid=[10, 10**6])
         assert main(["verify", cfg]) == 3
 
     def test_bad_format(self, write_config):

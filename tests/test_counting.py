@@ -1,5 +1,7 @@
 """Counting engine: primality, square-freeness, sieves, lattice counts."""
 
+import collections
+import itertools
 import math
 import tracemalloc
 
@@ -347,8 +349,45 @@ class TestCountValues:
         assert peak < 16 * 2**20
 
     def test_budget_enforced(self):
+        # about 5e11 orbits of (x1, x2)
         with pytest.raises(BudgetExceededError):
-            count_values(self.f, self.box, 10**6, mode="prime", budget=10**4)
+            count_values(self.f, self.box, 10**6, mode="prime")
+
+    @pytest.mark.parametrize(
+        "text, n, work",
+        [
+            # comb(12, 2) orbits of the exchangeable x1^2, x2^2
+            ("x1^2 + x2^2", 2, 66),
+            # the same orbits times the 11 points of x3
+            ("x1^2 + x2^2 + x3^3", 3, 66 * 11),
+            # nothing to fold
+            ("x1^2 + 2x2^2", 2, 121),
+        ],
+        ids=["orbits", "orbits-times-others", "no-fold"],
+    )
+    def test_budget_counts_evaluated_points(self, monkeypatch, text, n, work):
+        f = parse_polynomial(text, n)
+        box = Box([(1, 2)] * n)
+        monkeypatch.setattr(counting, "LATTICE_BUDGET", work)
+        assert count_values(f, box, 10, mode="prime").lattice_points == 11**n
+        monkeypatch.setattr(counting, "LATTICE_BUDGET", work - 1)
+        with pytest.raises(BudgetExceededError, match=f"{work} lattice points"):
+            count_values(f, box, 10, mode="prime")
+
+    def test_nine_cubes_past_the_box_budget(self):
+        # 11^9 = 2.4e9 lattice points, but comb(19, 9) = 92378 orbits; the
+        # count is checked against the orbits listed independently
+        f = parse_polynomial(" + ".join(f"x{i}^3" for i in range(1, 10)), 9)
+        res = count_values(f, Box([(1, 2)] * 9), 10, mode="prime")
+        assert res.lattice_points == 11**9
+        expected = 0
+        for orbit in itertools.combinations_with_replacement(range(10, 21), 9):
+            if is_prime(sum(x**3 for x in orbit)):
+                size = math.factorial(9)
+                for m in collections.Counter(orbit).values():
+                    size //= math.factorial(m)
+                expected += size
+        assert res.count == expected
 
     def test_big_coefficient_path(self):
         # force values beyond int64: exercise the object-dtype fallback, on

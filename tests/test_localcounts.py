@@ -1,6 +1,7 @@
 """Local zero counts modulo p and p^2, and the Euler products."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from polydensity import (
     residue_histogram,
     squarefree_euler_factor,
 )
+from polydensity import localcounts
 from polydensity.counting import BudgetExceededError
 
 
@@ -40,11 +42,33 @@ FOUR_SQUARES = "x1^2 + x2^2 + x3^2 + x4^2"
 
 
 class TestResidueHistogram:
-    def test_budget_counts_full_grid(self):
-        # separable, so only 3 * 101 residues would be swept
-        f = parse_polynomial("x1^2 + x2^2 + x3^2", 3)
-        with pytest.raises(BudgetExceededError):
-            residue_histogram(f, 101, budget=10**4)
+    @pytest.mark.parametrize(
+        "text, work",
+        [
+            # one distinct block swept once, two convolutions
+            ("x1^2 + x2^2 + x3^2", 101 + 2 * 101**2),
+            ("x1^2 + 2x2^2 + 3x3^2", 3 * 101 + 2 * 101**2),
+            # a two-variable block sweeps 101^2 residues
+            ("x1x2 + x3^2", 101**2 + 101 + 101**2),
+            ("x1x2x3 + 1", 101**3),
+        ],
+        ids=["equal-blocks", "distinct-blocks", "two-variable-block", "one-block"],
+    )
+    def test_budget_counts_swept_residues(self, monkeypatch, text, work):
+        f = parse_polynomial(text, 3)
+        monkeypatch.setattr(localcounts, "RESIDUE_BUDGET", work)
+        expected = residue_histogram(f, 101)
+        monkeypatch.setattr(localcounts, "RESIDUE_BUDGET", work - 1)
+        with pytest.raises(BudgetExceededError, match=f"{work} residues"):
+            residue_histogram(f, 101)
+        assert expected.sum() == 101**3
+
+    def test_int64_overflow_refused(self):
+        # 3^40 residues fit the budget after the block split, but the
+        # counts of 3^40 points would overflow int64
+        f = parse_polynomial(" + ".join(f"x{i}^2" for i in range(1, 41)), 40)
+        with pytest.raises(BudgetExceededError, match="overflow int64"):
+            residue_histogram(f, 3)
 
     def test_four_squares_pinned(self):
         f = parse_polynomial(FOUR_SQUARES, 4)
@@ -107,10 +131,21 @@ class TestCountZerosMod:
         with pytest.raises(ValueError):
             count_zeros_mod(f, 6)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(localcounts, "RESIDUE_BUDGET", 10**4)
         f = parse_polynomial("x1^2 + x2^2 + x3^2", 3)
         with pytest.raises(BudgetExceededError):
-            count_zeros_mod(f, 101, budget=10**4)
+            count_zeros_mod(f, 101)
+
+    def test_budget_counts_critical_combinations(self):
+        # x^23 = x^p has gradient 23 x^22 = 0 mod 23 and takes 23 distinct
+        # values mod 23^2, so the singular roots are combined from 23^9 =
+        # 1.8e12 tuples of critical values; the histogram itself is cheap
+        f = parse_polynomial(" + ".join(f"x{i}^23" for i in range(1, 10)), 9)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=f"{23**9} residues"):
+            squarefree_euler_factor(f, 23)
+        assert time.perf_counter() - start < 1.0
 
     def test_lemma_degree_bound(self):
         # N_p <= deg(f) * p^(n-1) for content-1 polynomials
