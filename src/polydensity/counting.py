@@ -449,20 +449,6 @@ def _exchangeable_group(
     return best if len(best) > 1 else []
 
 
-def _sorted_tuples(n: int, length: int) -> np.ndarray:
-    """The non-decreasing ``length``-tuples over ``range(n)``, one a row, in
-    colex order, so that the first ``comb(t + length, length)`` rows are the
-    tuples with every entry at most t."""
-    tuples = np.zeros((1, 0), dtype=np.int64)
-    counts = np.ones(n, dtype=np.int64)  # comb(t + j, j) for t in range(n)
-    for _ in range(length):
-        starts = np.cumsum(counts) - counts
-        index = np.arange(counts.sum()) - np.repeat(starts, counts)
-        tuples = np.column_stack([tuples[index], np.repeat(np.arange(n), counts)])
-        counts = np.cumsum(counts)
-    return tuples
-
-
 def _orbit_chunks(ranges: list[range], group: list[tuple[int, ...]]):
     """Chunks ``(coords, weights)`` that list one lattice point per orbit of
     the permutations of the ``k`` exchangeable blocks ``group``, weighted by
@@ -508,14 +494,19 @@ def _orbit_chunks(ranges: list[range], group: list[tuple[int, ...]]):
             digits = index if len(block) == 1 else index // stride % size
             placed[v] = _shift(ranges[v], digits.reshape(shape + extra))
 
-    # offsets[t]: the rows whose largest entry is below t, the partial sums
-    # of comb(t + k - 2, k - 2), the rows whose largest entry is t
+    # below[m - 1][t]: the non-decreasing m-tuples whose entries are all
+    # below t, the partial sums of comb(t + m - 1, m - 1), the m-tuples
+    # whose largest entry is t.  In colex order the tuples whose largest
+    # entry is t follow those below[m - 1][t], so each row chunk unranks
+    # its rows one entry at a time, the largest first, and memory stays at
+    # chunk scale however many rows there are
+    below = []
     counts = np.ones(n, dtype=np.int64)
-    for _ in range(k - 2):
+    for _ in range(k - 1):
+        below.append(np.concatenate([[0], np.cumsum(counts)]))
         counts = np.cumsum(counts)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
+    offsets = below[-1]
     n_rows = int(offsets[n])
-    inner = _sorted_tuples(n, k - 2)
     side = max(1, math.isqrt(limit))
     span = max(1, limit // n)
 
@@ -532,13 +523,16 @@ def _orbit_chunks(ranges: list[range], group: list[tuple[int, ...]]):
             r0 = r1
 
     for R0, R1, _ in row_chunks(0, n_rows, side):
-        rows = np.arange(R0, R1)
-        last = np.searchsorted(offsets, rows, side="right") - 1
-        prefix = np.column_stack([inner[rows - offsets[last]], last])
+        rank = np.arange(R0, R1)
+        prefix = np.empty((R1 - R0, k - 1), dtype=np.int64)
+        for m in range(k - 1, 0, -1):
+            prefix[:, m - 1] = np.searchsorted(below[m - 1], rank, side="right") - 1
+            rank = rank - below[m - 1][prefix[:, m - 1]]
+        last = prefix[:, -1]
         # the row's weight (k-1)! / prod m_i!, built one entry at a time;
         # run counts the entries equal to the newest one
-        weight = np.ones(len(rows), dtype=np.int64)
-        run = np.ones(len(rows), dtype=np.int64)
+        weight = np.ones(R1 - R0, dtype=np.int64)
+        run = np.ones(R1 - R0, dtype=np.int64)
         for j in range(1, k - 1):
             run = np.where(prefix[:, j] == prefix[:, j - 1], run + 1, 1)
             weight = weight * (j + 1) // run

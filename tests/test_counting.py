@@ -389,6 +389,24 @@ class TestCountValues:
                 expected += size
         assert res.count == expected
 
+    def test_orbit_rows_built_per_chunk(self):
+        # x1^4 + ... + x25^4 on [1, 2]^25 at P = 10: comb(35, 25) = 1.8e8
+        # orbits, within LATTICE_BUDGET.  A table of every row's 23 smaller
+        # entries would hold comb(33, 23) * 23 = 2.1e9 int64s (17 GB); the
+        # first chunk, of at most RESIDUE_CHUNK points, needs only its own
+        f = parse_polynomial(" + ".join(f"x{i}^4" for i in range(1, 26)), 25)
+        ranges = Box([(1, 2)] * 25).lattice_ranges(10)
+        group = counting._exchangeable_group([f], ranges)
+        assert len(group) == 25
+        tracemalloc.start()
+        try:
+            coords, weights = next(counting._orbit_chunks(ranges, group))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.prod(np.broadcast_shapes(*(c.shape for c in coords))) <= poly.RESIDUE_CHUNK
+        assert peak < 16 * 2**20
+
     def test_big_coefficient_path(self):
         # force values beyond int64: exercise the object-dtype fallback, on
         # values (~1e20) below the deterministic Miller-Rabin bound

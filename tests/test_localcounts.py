@@ -140,12 +140,14 @@ class TestCountZerosMod:
     def test_budget_counts_critical_combinations(self):
         # x^23 = x^p has gradient 23 x^22 = 0 mod 23 and takes 23 distinct
         # values mod 23^2, so the singular roots are combined from 23^9 =
-        # 1.8e12 tuples of critical values; the histogram itself is cheap
+        # 1.8e12 tuples of critical values; the histogram itself is cheap.
+        # The refusal takes milliseconds; the generous time bound only
+        # catches a run of the tuple loop, which runs far longer
         f = parse_polynomial(" + ".join(f"x{i}^23" for i in range(1, 10)), 9)
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError, match=f"{23**9} residues"):
             squarefree_euler_factor(f, 23)
-        assert time.perf_counter() - start < 1.0
+        assert time.perf_counter() - start < 30.0
 
     def test_lemma_degree_bound(self):
         # N_p <= deg(f) * p^(n-1) for content-1 polynomials
