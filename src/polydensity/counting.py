@@ -13,18 +13,19 @@ x4^2`` at P = 24 about a fifth.  ``MultiPoly.evaluate_array`` decides per
 chunk whether the values are int64 or exact Python ints.  Membership tests
 read a table from one windowed sieve (``_sieve_bools``), sized to the value
 range [min f, max f] (of |f| for square-freeness) certified by interval
-arithmetic over the lattice box.  The sieve runs in segments of
-``_SEGMENT`` entries (``_segments``) and packs each into bits, so a table
-costs one bit per entry.  Each segment starts as a copy of the wheel, the
-crossing out by 2, 3, 5 and 7 precomputed over one period (44100 entries
-for their squares, 210 for the primes), so only the larger base primes are
-crossed out one strided store at a time.  When the table's sieve entries
-(the window plus the base primes up to the square root of its largest
-value) would cost more than testing each lattice value, or exceed
-``TABLE_LIMIT``, each distinct value is tested instead; a prime verdict
-above ``MR_DETERMINISTIC_LIMIT`` is only probable and leaves its point
+arithmetic over the lattice box.  The table costs one bit per entry and is
+sieved in its packed bytes: it starts as the packed wheel, the crossing out
+by 2, 3, 5 and 7 precomputed over one period (44100 entries for their
+squares, 210 for the primes), and the larger base primes clear their bits
+by strided ANDs or, when they hit the window only a few times, by
+``np.bitwise_and.at``.  When the table's sieve entries (the window plus
+the base primes up to the square root of its largest value) would cost
+more than testing each lattice value, or exceed ``TABLE_LIMIT``, each
+distinct value is tested instead; a prime verdict above
+``MR_DETERMINISTIC_LIMIT`` is only probable and leaves its point
 undecided.  ``primes_upto``, ``primes_in_interval`` and ``squarefree_table``
-read the same segments unpacked.
+read unpacked tables, sieved in segments of ``_SEGMENT`` entries
+(``_segments``) from the same wheel, base primes and first hits.
 """
 
 from __future__ import annotations
@@ -145,6 +146,44 @@ def _wheel(squarefree: bool) -> np.ndarray:
     return pattern
 
 
+def _tile(out: np.ndarray, pattern: np.ndarray, start: int) -> None:
+    """Fill ``out`` with ``pattern`` repeated, beginning at ``pattern[start]``,
+    in place."""
+    n, period = len(out), len(pattern)
+    head = min(n, period - start)
+    body = (n - head) // period * period
+    out[:head] = pattern[start : start + head]
+    out[head : head + body].reshape(-1, period)[:] = pattern
+    out[head + body :] = pattern[: n - head - body]
+
+
+def _base_primes(lo: int, hi: int) -> np.ndarray:
+    """The primes up to sqrt(max |m|) over [lo, hi].  They are sieved over
+    [0, sqrt(max |m|)], whose own base primes come from [0, its square
+    root], and so on down to [0, 3]."""
+    roots = [math.isqrt(max(abs(lo), abs(hi)))]
+    while roots[-1] > 3:
+        roots.append(math.isqrt(roots[-1]))
+    primes = np.empty(0, dtype=np.int64)
+    for root in reversed(roots):
+        primes = np.flatnonzero(_cross_out(0, root, primes, False))
+    return primes
+
+
+def _hits(
+    lo: int, primes: np.ndarray, squarefree: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(firsts, steps)`` of the base primes past the wheel: each crosses
+    out ``firsts + k * steps``, k >= 0, the multiples of p^2
+    (``squarefree``) or the multiples of p from p^2 on."""
+    primes = primes[primes > _WHEEL_PRIMES[-1]]
+    steps = primes * primes if squarefree else primes
+    firsts = lo + (-lo) % steps
+    if not squarefree:
+        firsts = np.maximum(firsts, steps * steps)
+    return firsts, steps
+
+
 def _cross_out(lo: int, hi: int, primes: np.ndarray, squarefree: bool) -> np.ndarray:
     """Entries of [lo, hi] that survive crossing out, for every base prime p,
     the multiples of p^2 (``squarefree``) or the multiples of p other than p.
@@ -157,19 +196,10 @@ def _cross_out(lo: int, hi: int, primes: np.ndarray, squarefree: bool) -> np.nda
     """
     n = max(0, hi - lo + 1)
     pattern = _wheel(squarefree)
-    period = len(pattern)
-    start = lo % period
-    head = min(n, period - start)
-    body = (n - head) // period * period
     table = np.empty(n, dtype=bool)
-    table[:head] = pattern[start : start + head]
-    table[head : head + body].reshape(-1, period)[:] = pattern
-    table[head + body :] = pattern[: n - head - body]
-    primes = primes[primes > _WHEEL_PRIMES[-1]]
-    steps = primes * primes if squarefree else primes
-    firsts = lo + (-lo) % steps
+    _tile(table, pattern, lo % len(pattern))
+    firsts, steps = _hits(lo, primes, squarefree)
     if not squarefree:
-        firsts = np.maximum(firsts, steps * steps)
         table[: max(0, min(2 - lo, n))] = False
         for p in _WHEEL_PRIMES:
             if lo <= p <= hi:
@@ -182,8 +212,7 @@ def _cross_out(lo: int, hi: int, primes: np.ndarray, squarefree: bool) -> np.nda
     return table
 
 
-#: entries sieved at once; a multiple of 8, so that a segment packs into
-#: whole bytes
+#: entries of one unpacked table that ``_segments`` sieves at once
 _SEGMENT = 1 << 23
 
 
@@ -193,18 +222,10 @@ def _segments(lo: int, hi: int, squarefree: bool = False):
     most ``_SEGMENT`` entries a table.
 
     An entry is True iff m is prime or, with ``squarefree``, iff m is
-    square-free (m and -m agree; 0 is not).  The base primes up to
-    sqrt(max |m|) are sieved once, the same way, over [0, sqrt(max |m|)],
-    whose own base primes come from [0, its square root], and so on down
-    to [0, 3].
+    square-free (m and -m agree; 0 is not).
     """
     lo, hi = int(lo), int(hi)
-    roots = [math.isqrt(max(abs(lo), abs(hi)))]
-    while roots[-1] > 3:
-        roots.append(math.isqrt(roots[-1]))
-    primes = np.empty(0, dtype=np.int64)
-    for root in reversed(roots):
-        primes = np.flatnonzero(_cross_out(0, root, primes, False))
+    primes = _base_primes(lo, hi)
     for start in range(lo, hi + 1, _SEGMENT):
         end = min(hi, start + _SEGMENT - 1)
         yield start, _cross_out(start, end, primes, squarefree)
@@ -219,19 +240,80 @@ def _members(lo: int, hi: int, squarefree: bool = False) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype=np.int64), *found])
 
 
+def _clearing_masks(entries: np.ndarray) -> np.ndarray:
+    """The byte masks that clear the bits of table entries ``entries``."""
+    return (0xFF ^ 1 << (entries & 7)).astype(np.uint8)
+
+
+@cache
+def _packed_wheel(squarefree: bool, r: int) -> np.ndarray:
+    """:func:`_wheel` packed 8 entries a byte from entry r on: byte i holds
+    the entries r + 8i .. r + 8i + 7 mod the period L.  The bytes repeat
+    after L / gcd(8, L), and every window start m takes the stream of
+    r = m mod gcd(8, L), so at most gcd(8, L) streams exist per mode."""
+    pattern = _wheel(squarefree)
+    repeats = 8 // math.gcd(8, len(pattern))
+    stream = np.packbits(np.tile(np.roll(pattern, -r), repeats), bitorder="little")
+    stream.flags.writeable = False
+    return stream
+
+
 def _sieve_bools(lo: int, hi: int, squarefree: bool = False) -> np.ndarray:
     """Bit-packed membership table of the window [lo, hi] for ``count_values``.
 
     Bit ``(m - lo) & 7`` of byte ``(m - lo) >> 3`` is the verdict of
     :func:`_segments` on m, so the table takes ``ceil((hi - lo + 1) / 8)``
     bytes; the padding bits of the last byte are 0.
+
+    The table is sieved packed, from the packed wheel
+    (:func:`_packed_wheel`) on.  A base prime's k-th hit and its (k + 8)-th
+    lie 8 steps apart, exactly ``step`` bytes, on the same bit, so 8 ANDs
+    over strided views, one per k mod 8, cross out every hit.  Such an AND
+    costs about as much as ``np.bitwise_and.at`` clearing 20 to 60 bits
+    (~0.6 us against ~10 to ~35 ns a bit on a 2-vCPU Xeon with numpy 2.4),
+    so a prime takes the ANDs when each clears at least 16 bits.  The other
+    primes clear their hits by ``np.bitwise_and.at``, a few hits of each
+    prime per call, so that an index array holds at most as many entries as
+    hits remain, and at most ``poly.RESIDUE_CHUNK`` or one per prime.
     """
     lo, hi = int(lo), int(hi)
-    bits = np.empty(-(-max(0, hi - lo + 1) // 8), dtype=np.uint8)
-    for start, table in _segments(lo, hi, squarefree):
-        packed = np.packbits(table, bitorder="little")
-        offset = (start - lo) >> 3
-        bits[offset : offset + len(packed)] = packed
+    n = max(0, hi - lo + 1)
+    bits = np.empty(-(-n // 8), dtype=np.uint8)
+    share = math.gcd(8, len(_wheel(squarefree)))
+    stream = _packed_wheel(squarefree, lo % share)
+    # the stream byte holding entry lo: 8 * start = lo - lo % share mod the period
+    start = (lo - lo % share) // share * pow(8 // share, -1, len(stream)) % len(stream)
+    _tile(bits, stream, start)
+    firsts, steps = _hits(lo, _base_primes(lo, hi), squarefree)
+    firsts -= lo
+    strided = steps <= len(bits) // 16
+    hits = firsts[strided, None] + np.arange(8) * steps[strided, None]
+    for row, masks, step in zip(
+        (hits >> 3).tolist(), _clearing_masks(hits).tolist(), steps[strided].tolist()
+    ):
+        for byte, mask in zip(row, masks):
+            view = bits[byte::step]
+            view &= mask
+    firsts, steps = firsts[~strided], steps[~strided]
+    while (live := firsts < n).any():
+        firsts, steps = firsts[live], steps[live]
+        # as many hits of each prime as they have left on average
+        left = int(((n - 1 - firsts) // steps + 1).sum())
+        rounds = max(1, min(left, poly.RESIDUE_CHUNK) // len(firsts))
+        hits = firsts[:, None] + np.arange(rounds) * steps[:, None]
+        hits = hits[hits < n]
+        np.bitwise_and.at(bits, hits >> 3, _clearing_masks(hits))
+        firsts += rounds * steps
+    if not squarefree:
+        below = max(0, min(2 - lo, n))
+        bits[: below >> 3] = 0
+        if below & 7:
+            bits[below >> 3] &= 0xFF << (below & 7) & 0xFF
+        for p in _WHEEL_PRIMES:
+            if lo <= p <= hi:
+                bits[(p - lo) >> 3] |= 1 << ((p - lo) & 7)
+    if n & 7:
+        bits[-1] &= (1 << (n & 7)) - 1
     return bits
 
 
@@ -373,17 +455,17 @@ def is_squarefree(m: int) -> bool:
 
 #: most sieve entries (window plus base-prime range) of one membership
 #: table; a larger table is never built.  Packed, a table holds at most
-#: 25 MB, plus one unpacked segment of 8 MB while it is sieved
+#: 25 MB
 TABLE_LIMIT = 2 * 10**8
 
 #: most lattice points (one per orbit when blocks fold) one count evaluates
 LATTICE_BUDGET = 10**9
 
 #: sieve entries that cost about one value test, per mode.  A prime entry
-#: of the wheel-presieved packed table costs ~4.6 ns (a 10^7-entry window
-#: near 10^8) to ~18 ns (near 10^12, where the window crosses out 78498 base
-#: primes) against ~9.4 us per ``is_prime`` call near 10^12, a ratio of 520
-#: to 2000.  A square-free entry costs ~0.36 ns (~0.76 ns near 10^12)
+#: of the wheel-presieved packed table costs ~2.4 ns (a 10^7-entry window
+#: near 10^8) to ~10 ns (near 10^12, where the window crosses out 78498 base
+#: primes) against ~9.4 us per ``is_prime`` call near 10^12, a ratio of 920
+#: to 3900.  A square-free entry costs ~0.19 ns (~0.7 ns near 10^12)
 #: against ~0.86 ms per ``is_squarefree`` call past 10^12, which
 #: trial-divides to 10^6 (~17 us near 10^8); the ratio prices the tests past
 #: 10^12, since a table costs at most ``TABLE_LIMIT`` entries (~0.1 s).

@@ -152,13 +152,23 @@ def _prime_power_shape(modulus: int) -> tuple[int, int]:
 
 
 def fixed_prime_divisors(f: MultiPoly) -> set[int]:
-    """Primes p with p | f(x) for every integer x; all are <= deg(f)."""
+    """Primes p with p | f(x) for every integer x; all are <= deg(f).
+
+    On F_p, x^e and x^(1 + (e - 1) mod (p - 1)) agree for e >= 1, and the
+    monomials whose exponents are all below p are independent functions on
+    F_p^n.  So p divides every value iff every coefficient of f, with its
+    exponents reduced that way and equal monomials merged, is 0 mod p: a
+    pass over the terms, not over the p^n residues.
+    """
     if f.content() != 1:
         raise PolynomialError("divide out the content first")
-    d = f.degree
     out = set()
-    for p in map(int, primes_upto(d)):
-        if count_zeros_mod(f, p) == p**f.n_vars:
+    for p in map(int, primes_upto(f.degree)):
+        reduced: dict[tuple[int, ...], int] = {}
+        for exps, c in f.terms.items():
+            key = tuple(0 if e == 0 else 1 + (e - 1) % (p - 1) for e in exps)
+            reduced[key] = reduced.get(key, 0) + c
+        if all(c % p == 0 for c in reduced.values()):
             out.add(p)
     return out
 

@@ -179,18 +179,17 @@ class TestCheck:
         assert code == 2
         assert "fail" in capsys.readouterr().out
 
-    def test_fixed_divisor_refusal_is_unknown(self, write_config, capsys):
-        # one block of 30 variables: the count mod 2 needs 2^30 residues
+    def test_fixed_divisor_of_wide_chain_is_decided(self, write_config, capsys):
+        # one block of 30 variables: 2^30 residues mod 2, decided from the
+        # terms alone
         chain = " + ".join(f"x{i}x{i + 1}" for i in range(1, 30)) + " + 1"
         cfg = write_config(
             polynomials=[chain], box=[[1, 2]] * 30, mode="prime", sigma_override=0
         )
-        assert main(["check", cfg]) == 2
+        assert main(["check", cfg]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert (
-            f"[unknown] no-fixed-prime-divisor: {2**30} residues exceed budget 1000000000"
-        ) in lines
-        assert sum("[ pass  ]" in line for line in lines) == 3
+        assert "[ pass  ] no-fixed-prime-divisor" in lines
+        assert sum("[ pass  ]" in line for line in lines) == 4
 
     def test_sigma_refusal_is_unknown(self, write_config, capsys):
         # the sigma estimate would sweep 3^17 residues

@@ -93,6 +93,18 @@ class TestSieves:
             expected = all(e < 2 for e in sympy.factorint(m).values())
             assert bool(table[m]) == expected
 
+    def test_packed_sieve_memory(self):
+        # the square-free table of x1^2 + x2^2 at P = 4000 is sieved straight
+        # into its packed bytes; an unpacked 2^23-entry segment and its
+        # packbits copy next to the table peak at 28.5 MiB here
+        tracemalloc.start()
+        try:
+            bits = counting._sieve_bools(32_000_000, 128_000_000, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bits.nbytes + 4 * 2**20
+
     def test_trial_primes_built_once(self, monkeypatch):
         calls = []
         real = counting._segments

@@ -18,6 +18,7 @@ from polydensity import (
     complete_exp_sum,
     count_values,
     count_zeros_mod,
+    fixed_prime_divisors,
     integrate_box,
     is_prime,
     is_prime_certified,
@@ -25,6 +26,7 @@ from polydensity import (
     orthogonality_count,
     oscillatory_integral,
     parse_polynomial,
+    primes_upto,
     residue_histogram,
     s_alpha,
     value_range,
@@ -195,6 +197,39 @@ class TestPolynomialInvariants:
         assert abs(f.evaluate_int(x)) <= f.abs_bound(radii)
 
 
+@st.composite
+def fixed_divisor_candidates(draw):
+    """Content-1 polynomials in at most 3 variables with exponents up to 12,
+    built so that a small prime p often divides every value: pairs
+    c x^a - c x^b where b shifts an exponent e >= 1 of a by a multiple of
+    p - 1 (Fermat: x^(e + p - 1) = x^e on F_p), multiples of p, and maybe
+    one free term that breaks the pattern."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    monomials = st.tuples(*[st.integers(0, 12)] * n)
+    terms = {}
+
+    def add(exps, c):
+        terms[exps] = terms.get(exps, 0) + c
+
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(monomials)
+        i = draw(st.integers(0, n - 1))
+        e = a[i] + (p - 1) * draw(st.integers(1, 3))
+        if a[i] >= 1 and e <= 12:
+            c = draw(st.integers(-5, 5))
+            add(a, c)
+            add(a[:i] + (e,) + a[i + 1 :], -c)
+    for _ in range(draw(st.integers(0, 3))):
+        add(draw(monomials), p * draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        add(draw(monomials), draw(st.integers(-20, 20)))
+    terms = {e: c for e, c in terms.items() if c}
+    assume(terms)
+    content = math.gcd(*terms.values())
+    return MultiPoly(n, {e: c // content for e, c in terms.items()})
+
+
 class TestLocalCountInvariants:
     @settings(deadline=None)
     @given(polynomials(max_vars=2, max_degree=3), small_primes)
@@ -231,6 +266,21 @@ class TestLocalCountInvariants:
         with mock.patch.object(poly, "RESIDUE_CHUNK", 5):
             assert count_zeros_mod(f, q) == zeros
 
+
+    @settings(deadline=None, max_examples=100)
+    @given(fixed_divisor_candidates())
+    @example(parse_polynomial("x1^3 - x1", 1))
+    @example(parse_polynomial("x1^12 - x1^2", 1))
+    @example(parse_polynomial("x1^2 x2^7 - x1^8 x2 + 2", 2))
+    def test_fixed_divisors_match_zero_counts(self, f):
+        # p divides every value iff f vanishes on all p^n residues; every
+        # fixed divisor of a content-1 polynomial is at most its degree
+        swept = {
+            p
+            for p in map(int, primes_upto(f.degree))
+            if count_zeros_mod(f, p) == p**f.n_vars
+        }
+        assert fixed_prime_divisors(f) == swept
 
     def test_every_modulus_matches_brute_force(self):
         f = parse_polynomial("x1*x3^2 + 2x2^3 - 1", 3)
@@ -344,6 +394,33 @@ class TestCountingInvariants:
         assert len(bits) == -(-(width + 1) // 8)
         assert np.flatnonzero(table).tolist() == [m - lo for m in expected]
         assert members.tolist() == expected
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.one_of(
+            st.sampled_from([0, 1, 2, 7]),
+            st.integers(-(10**4), 10**9),
+            st.integers(10**8 - 10**6, 10**8 + 10**6),
+        ),
+        st.one_of(st.integers(44_101, 200_000), st.integers(10**5, 10**6)),
+        st.booleans(),
+    )
+    @example(0, 44_101, True)
+    @example(1, 88_203, False)
+    @example(2, 10**6 + 3, True)
+    @example(7, 10**5 + 1, False)
+    @example(10**8, 10**6 - 1, True)
+    @example(10**8 + 1, 10**5 + 6, False)
+    def test_packed_writer_matches_members(self, lo, width, squarefree):
+        # windows past one wheel period; near 10^8 the base primes fall on
+        # both sides of the split between strided ANDs and ufunc.at rounds.
+        # The unpacked table is 8 * len(bits) long, so padding bits must be 0
+        hi = lo + width - 1
+        bits = counting._sieve_bools(lo, hi, squarefree)
+        table = np.zeros(8 * len(bits), dtype=np.uint8)
+        table[counting._members(lo, hi, squarefree) - lo] = 1
+        assert len(bits) == -(-width // 8)
+        assert np.array_equal(np.unpackbits(bits, bitorder="little"), table)
 
     @settings(deadline=None, max_examples=60)
     @given(
