@@ -36,7 +36,7 @@ print("g0 =", g.top_degree_part().to_string())
 # sigma is the dimension of the singular locus of f0 (where the gradient
 # vanishes).  Small sigma relative to the number of variables is the key
 # hypothesis behind every prediction.
-sigma = singular_dimension_estimate(f.top_degree_part(), [3, 5, 7])
+sigma = singular_dimension_estimate(f.top_degree_part())
 print("\nsigma(f) =", sigma.value, f"({sigma.method})")
 print("margin n - sigma =", f.n_vars - sigma.value)
 

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .counting import BudgetExceededError, is_prime, primes_upto
-from .poly import MultiPoly, PolynomialError, common_zeros, grid_chunks
+from .poly import MultiPoly, PolynomialError, critical_points, grid_chunks
 
 #: most residues one zero count visits: the distinct blocks' residues, q^2
 #: per convolution, and mod p^2 the tuples of the blocks' critical values
@@ -126,9 +126,8 @@ def _critical_values(
     The zeros are swept chunk by chunk and folded into the tally, so at most
     one chunk and ``min(modulus, #zeros)`` distinct values are held.
     """
-    grad = [h for h in g.gradient() if h is not None]
     values = counts = np.empty(0, dtype=np.int64)
-    for points in common_zeros(grad, p):
+    for points in critical_points(g, p):
         found = g.evaluate_array(points, modulus=modulus)
         weights = np.concatenate([counts, np.ones(len(found), dtype=np.int64)])
         values, inverse = np.unique(

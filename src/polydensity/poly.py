@@ -375,20 +375,20 @@ def _shift(r: range, offsets: np.ndarray) -> np.ndarray:
     return r.start + offsets.astype(object)
 
 
-def common_zeros(polys: Sequence["MultiPoly"], p: int):
-    """Chunks of the points of ``F_p^n`` where every polynomial in ``polys``
-    vanishes mod ``p``, each a list of ``n`` int64 coordinate arrays.
+def critical_points(g: "MultiPoly", p: int):
+    """Chunks of the points of ``F_p^n`` where the gradient of ``g`` vanishes
+    mod ``p``, each a list of ``n`` int64 coordinate arrays.
 
-    The first polynomial is evaluated on each sparse chunk of
+    The first nonzero partial is evaluated on each sparse chunk of
     :func:`grid_chunks`, every later one only on the points that survive, so
     no chunk holds more than ``RESIDUE_CHUNK`` points.
     """
-    first, *rest = polys
-    for coords in grid_chunks([range(p)] * first.n_vars):
+    first, *rest = [h for h in g.gradient() if h is not None]
+    for coords in grid_chunks([range(p)] * g.n_vars):
         zero = first.evaluate_array(coords, modulus=p) == 0
         points = [np.broadcast_to(c, zero.shape)[zero] for c in coords]
-        for g in rest:
-            keep = g.evaluate_array(points, modulus=p) == 0
+        for h in rest:
+            keep = h.evaluate_array(points, modulus=p) == 0
             points = [c[keep] for c in points]
         yield points
 
@@ -607,37 +607,46 @@ class SigmaEstimate:
     witness_primes: tuple[int, ...] = ()
 
 
-#: largest residue sweep p^n of one prime of the sigma estimate
+#: residues the sigma estimate may sweep, summed over primes and distinct blocks
 SIGMA_BUDGET = 10**8
 
 
-def singular_dimension_estimate(f0: MultiPoly, primes: Sequence[int]) -> SigmaEstimate:
+def singular_dimension_estimate(f0: MultiPoly) -> SigmaEstimate:
     """Estimate sigma_f by counting common zeros of grad(f_0) over F_p.
 
     For an affine cone of dimension s the count N_p grows like p^s, so
     round(log N_p / log p) recovers s at each prime; the majority of the
     per-prime values wins (ties go to the larger, i.e. more cautious, value).
+    The primes are the first three odd ones that divide no coefficient of a
+    partial derivative, so that no partial loses a term mod p.
     """
     if not f0.is_homogeneous():
         raise PolynomialError("sigma estimate requires a homogeneous polynomial")
-    if not primes:
-        raise PolynomialError("empty prime list")
-    grad = [g for g in f0.gradient() if g is not None]
-    if not grad:
-        raise PolynomialError("gradient vanishes identically")
-    n = f0.n_vars
-    values: list[int] = []
-    for p in primes:
-        if p ** n > SIGMA_BUDGET:
-            raise PolynomialError(f"budget exceeded: {p}^{n} > {SIGMA_BUDGET}")
-        count = sum(len(points[0]) for points in common_zeros(grad, p))
-        values.append(int(round(math.log(count) / math.log(p))) if count else 0)
+    partials = [c * e for exps, c in f0._terms.items() for e in exps if e]
+    odd = (p for p in itertools.count(3, 2) if all(p % q for q in range(3, p, 2)))
+    primes = list(itertools.islice((p for p in odd if all(c % p for c in partials)), 3))
+    counts = _gradient_zero_counts(f0, primes)
+    values = [round(math.log(n, p)) if n else 0 for p, n in zip(primes, counts)]
     majority = max(sorted(set(values)), key=lambda v: (values.count(v), v))
-    return SigmaEstimate(
-        value=majority,
-        method="mod-p-estimated",
-        witness_primes=tuple(int(p) for p in primes),
-    )
+    return SigmaEstimate(majority, "mod-p-estimated", tuple(primes))
+
+
+def _gradient_zero_counts(f0: MultiPoly, primes: Sequence[int]) -> list[int]:
+    """#{x in F_p^n : grad(f_0)(x) = 0 mod p} for each p in ``primes``: the
+    gradient splits by block, so p^free times the blocks' counts.  Each
+    distinct block is swept once per prime over its own p^{|A_j|} residues;
+    past ``SIGMA_BUDGET`` of them in all, PolynomialError."""
+    _, blocks = f0.variable_blocks()
+    distinct = {g for _, g in blocks}
+    work = sum(p**g.n_vars for p in primes for g in distinct)
+    if work > SIGMA_BUDGET:
+        raise PolynomialError(f"{work} residues exceed budget {SIGMA_BUDGET}")
+    free = f0.n_vars - sum(g.n_vars for _, g in blocks)
+    counts = []
+    for p in primes:
+        swept = {g: sum(len(x[0]) for x in critical_points(g, p)) for g in distinct}
+        counts.append(p**free * math.prod(swept[g] for _, g in blocks))
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Adaptive tensor-product quadrature over boxes in up to four dimensions.
+"""Adaptive tensor-product quadrature over boxes of a few dimensions.
 
 Each cell carries two Gauss-Legendre estimates (orders 7 and 11 per axis);
 their difference is the error estimate.  Cells are arrays ``lo, hi`` of
@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import poly
+from .counting import BudgetExceededError
 
 _LOW_ORDER = 7
 _HIGH_ORDER = 11
@@ -70,15 +71,19 @@ def integrate_box(
     max_evaluations: int = 4_000_000,
 ) -> QuadratureResult:
     """Integrate a vectorised integrand over a box to absolute tolerance,
-    from a grid of ``pre_subdivisions`` cells per axis.  The last round may
-    pass ``max_evaluations`` by at most one pair of children."""
+    from ``pre_subdivisions`` cells per axis.  One cell past ``max_evaluations``
+    raises BudgetExceededError; the last round may pass it by two cells at most."""
     n = len(bounds)
+    per_cell = _LOW_ORDER**n + _HIGH_ORDER**n
+    if per_cell > max_evaluations:
+        raise BudgetExceededError(
+            f"{per_cell} evaluations per cell exceed budget {max_evaluations}"
+        )
     k = max(1, int(pre_subdivisions))
     edges = np.array([np.linspace(float(a), float(b), k + 1) for a, b in bounds])
     index = np.indices((k,) * n).reshape(n, -1).T
     axes = np.arange(n)
     lo, hi = edges[axes, index], edges[axes, index + 1]
-    per_cell = _LOW_ORDER**n + _HIGH_ORDER**n
 
     high, err = _estimates(func, lo, hi)
     evaluations = len(lo) * per_cell

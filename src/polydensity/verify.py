@@ -49,9 +49,6 @@ MODES = {
 _REQUIRED_KEYS = ("polynomials", "box", "mode", "P_grid", "euler_cutoff")
 _OPTIONAL_KEYS = ("sigma_override", "force", "threads")
 
-#: largest residue sweep p^n of the primes behind the sigma estimate
-_SIGMA_BUDGET = 2 * 10**6
-
 #: check status of each irreducibility or separability verdict
 _STATUS = {
     "irreducible": "pass",
@@ -63,12 +60,6 @@ _STATUS = {
 
 class ConfigError(ValueError):
     """Malformed experiment configuration."""
-
-
-def _sigma_primes(n: int) -> list[int]:
-    candidates = [3, 5, 7, 11, 13, 17]
-    picked = [p for p in candidates if p**n <= _SIGMA_BUDGET]
-    return picked[:3] if len(picked) >= 3 else picked[:1] or [3]
 
 
 def check_hypotheses(
@@ -108,7 +99,7 @@ def check_hypotheses(
         sigma = SigmaEstimate(value=int(sigma_override), method="user-supplied")
     elif not joint:
         try:
-            sigma = singular_dimension_estimate(f.top_degree_part(), _sigma_primes(n))
+            sigma = singular_dimension_estimate(f.top_degree_part())
         except PolynomialError as exc:  # a sweep past poly.SIGMA_BUDGET
             sigma_problem = str(exc)
 
@@ -285,9 +276,9 @@ def count_for(cfg: dict, P: int) -> tuple[CountResult, str | None]:
 
 def li_for(cfg: dict, P: int) -> tuple[float | None, float, str | None]:
     """(value, error estimate, row error) of the archimedean factor of a
-    parsed config at one P.  The row error says Li_f did not converge, or
-    that f0 > 1 on P*B, which Li_f needs, was not certified; the value is
-    then None, since there is no prediction to compare with."""
+    parsed config at one P.  The row error says Li_f did not converge; or,
+    with value None as there is no prediction, that the quadrature refused
+    the box or that f0 > 1 on P*B, which Li_f needs, was not certified."""
     polys, box, mode = cfg["polys"], cfg["box"], cfg["mode"]
     if mode == "squarefree":
         # square-free density is per lattice point, not per log
@@ -296,6 +287,8 @@ def li_for(cfg: dict, P: int) -> tuple[float | None, float, str | None]:
         li = li_f(polys[0], box, P) if mode == "prime" else li_joint(polys, box, P)
     except (CertificationError, PositivityError) as exc:
         return None, 0.0, f"P={P}: Li_f not certified: {exc}"
+    except BudgetExceededError as exc:
+        return None, 0.0, f"P={P}: Li_f not computed: {exc}"
     error = None if li.converged else f"P={P}: Li_f did not converge"
     return li.value, li.abs_error_estimate, error
 

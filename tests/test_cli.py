@@ -54,6 +54,35 @@ _UNCERTIFIED_LI = dict(
 )
 
 
+#: the paper's prime-mode cubic, x1^3 + ... + x9^3 on [1, 2]^9
+_NINE_CUBES = dict(
+    polynomials=[" + ".join(f"x{i}^3" for i in range(1, 10))],
+    box=[[1, 2]] * 9,
+    mode="prime",
+    P_grid=[2],
+    euler_cutoff=20,
+)
+
+
+def _run_capped(args: list[str]) -> subprocess.CompletedProcess:
+    """``python -m polydensity.cli`` on this checkout, in a child whose
+    address space is capped at 2 GiB."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(polydensity.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "polydensity.cli", *args],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
+    )
+
+
 #: rows with an infinite ratio, integer-valued floats and counts above 2^53,
 #: and their exact CSV text: a float is written as its repr, an int in full
 _PINNED_ROWS = [
@@ -101,7 +130,7 @@ def _pinned_json_report() -> ExperimentReport:
                     "singular-locus-margin", "fail", "n - sigma = 2, needs >= 4"
                 )
             ],
-            singular_dimension_estimate(f0, [3, 5, 7]),
+            singular_dimension_estimate(f0),
         ),
         config={"polynomials": ["(x1 - x2)^2 + x3^2"], "P_grid": [6]},
         heuristic=True,
@@ -192,19 +221,28 @@ class TestCheck:
         assert sum("[ pass  ]" in line for line in lines) == 4
 
     def test_sigma_refusal_is_unknown(self, write_config, capsys):
-        # the sigma estimate would sweep 3^17 residues
-        squares = " + ".join(f"x{i}^2" for i in range(1, 18))
-        cfg = write_config(polynomials=[squares], box=[[1, 2]] * 17, mode="prime")
+        # one block of 17 variables: 3^17 + 5^17 + 7^17 residues
+        chain = " + ".join(f"x{i}x{i + 1}" for i in range(1, 17))
+        cfg = write_config(polynomials=[chain], box=[[1, 2]] * 17, mode="prime")
         assert main(["check", cfg]) == 2
         out = capsys.readouterr().out
         assert "sigma:" not in out
         assert (
-            "[unknown] singular-locus-margin: budget exceeded: 3^17 > 100000000"
+            "[unknown] singular-locus-margin: "
+            "233393582580495 residues exceed budget 100000000"
         ) in out.splitlines()
         cfg = write_config(
-            polynomials=[squares], box=[[1, 2]] * 17, mode="prime", sigma_override=0
+            polynomials=[chain], box=[[1, 2]] * 17, mode="prime", sigma_override=0
         )
         assert main(["check", cfg]) == 0
+
+    def test_nine_cubes_pass_the_gate(self, write_config, capsys):
+        # every partial 3x_i^2 vanishes mod 3, so sigma is voted at 5, 7, 11
+        cfg = write_config(**_NINE_CUBES)
+        assert main(["check", cfg]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "sigma: 0 (mod-p-estimated)" in lines
+        assert "[ pass  ] singular-locus-margin: n - sigma = 9, needs >= 9" in lines
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["check", str(tmp_path / "nope.json")])
@@ -418,6 +456,20 @@ class TestVerify:
         assert doc["partial"] is True
         assert [row["P"] for row in doc["rows"]] == [4]
         assert "P=1: Li_f not certified" in captured.err
+
+
+    def test_nine_cubes_li_refused_under_memory_cap(self, write_config):
+        # the gate passes, and one quadrature cell in 9 dimensions would take
+        # 7^9 + 11^9 points, so Li_f is refused before anything is allocated
+        proc = _run_capped(["verify", write_config(**_NINE_CUBES)])
+        assert proc.returncode == 3
+        doc = json.loads(proc.stdout)
+        assert doc["hypothesis"]["sigma_used"]["value"] == 0
+        assert doc["rows"] == []
+        assert doc["row_errors"] == [
+            "P=2: Li_f not computed: "
+            "2398301298 evaluations per cell exceed budget 4000000"
+        ]
 
 
 class TestReport:

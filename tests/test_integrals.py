@@ -11,6 +11,7 @@ import pytest
 
 from polydensity import (
     Box,
+    BudgetExceededError,
     CertificationError,
     PositivityError,
     certify_above,
@@ -123,6 +124,13 @@ class TestQuadrature:
             )
             assert not result.converged
             assert result.evaluations <= budget + 2 * (7**n + 11**n)
+
+    def test_one_cell_past_budget_refused(self):
+        # one cell of a 3-D box takes 7^3 + 11^3 = 1674 evaluations
+        integrand = mock.Mock(side_effect=lambda g: g[0] * 0.0)
+        with pytest.raises(BudgetExceededError, match="1674 evaluations per cell"):
+            integrate_box(integrand, [(0.0, 1.0)] * 3, 1e-8, max_evaluations=1000)
+        integrand.assert_not_called()
 
 
 class TestBatchedRefinement:

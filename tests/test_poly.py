@@ -194,29 +194,49 @@ class TestBox:
 class TestStructure:
     def test_sigma_of_nonsingular_quadric(self):
         f0 = parse_polynomial("x1^2 + x2^2 + x3^2", 3)
-        est = singular_dimension_estimate(f0, [3, 5, 7])
-        assert est.value == 0
-        for p in (3, 5, 7):
-            assert singular_dimension_estimate(f0, [p]).value == 0
+        est = singular_dimension_estimate(f0)
+        assert (est.value, est.witness_primes) == (0, (3, 5, 7))
 
     def test_sigma_of_degenerate_form(self):
         # grad(x1^2) = (2x1, 0): zero locus is the hyperplane x1 = 0
         f0 = parse_polynomial("x1^2", 2)
-        est = singular_dimension_estimate(f0, [3, 5, 7])
+        est = singular_dimension_estimate(f0)
         assert est.value == 1
 
     def test_sigma_of_singular_line(self):
         # grad = (2(x1 - x2), -2(x1 - x2), 2x3) vanishes on the line
         # x1 = x2, x3 = 0, which has p points over F_p for odd p
         f0 = parse_polynomial("(x1 - x2)^2 + x3^2", 3)
-        est = singular_dimension_estimate(f0, [3, 5, 7])
+        est = singular_dimension_estimate(f0)
         assert est.value == 1
-        for p in (3, 5, 7):
-            assert singular_dimension_estimate(f0, [p]).value == 1
 
     def test_sigma_rejects_inhomogeneous(self):
         with pytest.raises(PolynomialError):
-            singular_dimension_estimate(parse_polynomial("x1^2 + 1", 1), [3])
+            singular_dimension_estimate(parse_polynomial("x1^2 + 1", 1))
+
+    @pytest.mark.parametrize(
+        "text, n, primes",
+        [
+            # every partial 3x_i^2 vanishes mod 3
+            (" + ".join(f"x{i}^3" for i in range(1, 10)), 9, (5, 7, 11)),
+            (" + ".join(f"x{i}^3" for i in range(1, 15)), 14, (5, 7, 11)),
+            # 3, 5 and 7 divide the partial 210x4
+            ("x1^2 + x2^2 + x3^2 + 105x4^2", 4, (11, 13, 17)),
+        ],
+    )
+    def test_sigma_primes_divide_no_partial_coefficient(self, text, n, primes):
+        est = singular_dimension_estimate(parse_polynomial(text, n))
+        assert (est.value, est.witness_primes) == (0, primes)
+
+    def test_sigma_budget_counts_swept_residues(self, monkeypatch):
+        # the block x^2 is swept once for x1^2 + x2^2, the block x3x4 once:
+        # (3 + 5 + 7) + (3^2 + 5^2 + 7^2) = 98 residues
+        f0 = parse_polynomial("x1^2 + x2^2 + x3x4", 4)
+        monkeypatch.setattr(polydensity.poly, "SIGMA_BUDGET", 98)
+        assert singular_dimension_estimate(f0).value == 0
+        monkeypatch.setattr(polydensity.poly, "SIGMA_BUDGET", 97)
+        with pytest.raises(PolynomialError, match="98 residues exceed budget 97"):
+            singular_dimension_estimate(f0)
 
     def test_separability(self):
         assert separability_check(parse_polynomial("x1^2 + x2^2", 2)) == "separable"

@@ -113,6 +113,36 @@ def brute_histogram(f, q):
     return np.bincount(values, minlength=q)
 
 
+@st.composite
+def block_forms(draw):
+    """Forms of one degree in at most 4 variables, whose terms fall in
+    random groups of the variables; some variables are in no group, and
+    groups of one size may share their terms, so that blocks repeat."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    groups = [[i for i in range(n) if labels[i] == g] for g in range(3)]
+    coeffs = st.integers(-3, 3).filter(lambda c: c != 0)
+    shared: dict[int, dict] = {}
+    repeat = draw(st.booleans())
+    terms = {}
+    for group in filter(None, groups):
+        local = [
+            e for e in itertools.product(range(d + 1), repeat=len(group))
+            if sum(e) == d
+        ]
+        picked = draw(st.lists(st.sampled_from(local), min_size=1, max_size=3))
+        own = {e: draw(coeffs) for e in picked}
+        own = shared.setdefault(len(group), own) if repeat else own
+        for e, c in own.items():
+            exps = [0] * n
+            for i, k in zip(group, e):
+                exps[i] = k
+            terms[tuple(exps)] = c
+    assume(terms)
+    return MultiPoly(n, terms)
+
+
 small_primes = st.sampled_from([2, 3, 5, 7, 11])
 #: int64 coordinates within 64 of +-2^15, +-2^31 or +-2^62, where values of
 #: polynomials() draws cross 2^62
@@ -299,6 +329,31 @@ class TestLocalCountInvariants:
         assert np.array_equal(residue_histogram(f, q), brute_histogram(f, q))
 
 
+class TestSigmaInvariants:
+    @settings(deadline=None, max_examples=40)
+    @given(block_forms())
+    @example(parse_polynomial("(x1 - x2)^2 + x3^2", 3))
+    @example(parse_polynomial("x1^2", 2))
+    @example(parse_polynomial("x1^3 + x2^3 + x3^3 + x4^3", 4))
+    @example(parse_polynomial("x1x2 + x3x4", 4))
+    def test_block_counts_match_whole_gradient(self, f0):
+        # p^free times the blocks' common-zero counts equals the common
+        # zeros of the whole gradient over F_p^n, also where p divides a
+        # partial's coefficient (x^3 at p = 3); 5-point chunks split sweeps
+        grad = [g for g in f0.gradient() if g is not None]
+        primes = [3, 5, 7]
+        brute = [
+            sum(
+                all(g.evaluate_mod(x, p) == 0 for g in grad)
+                for x in itertools.product(range(p), repeat=f0.n_vars)
+            )
+            for p in primes
+        ]
+        assert poly._gradient_zero_counts(f0, primes) == brute
+        with mock.patch.object(poly, "RESIDUE_CHUNK", 5):
+            assert poly._gradient_zero_counts(f0, primes) == brute
+
+
 class TestExpSumInvariants:
     @settings(deadline=None, max_examples=40)
     @given(polynomials(max_vars=2, max_degree=3), st.integers(1, 20))
@@ -387,8 +442,8 @@ class TestCountingInvariants:
         hi = lo + width
         test = is_squarefree if squarefree else is_prime
         expected = [m for m in range(lo, hi + 1) if test(m)]
+        bits = counting._sieve_bools(lo, hi, squarefree)
         with mock.patch.object(counting, "_SEGMENT", 64):
-            bits = counting._sieve_bools(lo, hi, squarefree)
             members = counting._members(lo, hi, squarefree)
         table = np.unpackbits(bits, bitorder="little")
         assert len(bits) == -(-(width + 1) // 8)
