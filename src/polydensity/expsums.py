@@ -7,9 +7,12 @@ which one FFT of length q gives S_{a,q} for every a at once.  Sums over
 the lattice points of P*B (S(alpha) and the orthogonality count) take the
 values of f chunk by chunk from the grid iterator ``poly.grid_chunks``.
 S(alpha) of a form split over disjoint variable blocks is the product of
-one lattice sum per block.  The orthogonality count takes two real FFTs
-of the value histograms at the smallest 5-smooth length above the largest
-frequency and folds the half spectrum by Hermitian symmetry.
+one lattice sum per block.  The orthogonality count works on the window
+[lo, hi] of the lattice values: its grid starts at lo, W is restricted to
+the primes of the window, and two real FFTs of the value and prime
+histograms at the smallest 5-smooth length >= hi - lo + 1 are folded onto
+the half spectrum by Hermitian symmetry.  The values are swept twice, for
+the window and then for the histogram, one chunk held at a time.
 The square-free weights g(q, d) and G(q) are exact rationals throughout.
 """
 
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import BudgetExceededError, _members, primes_in_interval
+from .counting import BudgetExceededError, _members, _segments, primes_in_interval
 from .intervals import value_range
 from .localcounts import residue_histogram
 from .poly import Box, MultiPoly, grid_chunks
@@ -295,42 +298,42 @@ def _smooth_length(n: int) -> int:
 def orthogonality_count(f: MultiPoly, box: Box, P: int) -> int:
     """pi_f(P*B) recovered from (1/N) sum_j S(j/N) conj(W(j/N)).
 
-    With N exceeding every frequency, discrete orthogonality of e(.) makes
-    the Riemann sum exact.  S and W at j/N are real FFTs of the value
-    histograms of f and of the primes of the W-interval, with N the
-    smallest 2^a 3^b 5^c above the largest value, and the sum over all N
-    frequencies is folded from the half spectrum.  The result is rounded
-    to the nearest integer and a residual of 1e-6 or more raises
-    ArithmeticError.  The values of f are swept twice, for their extremes
-    and then for their histogram, so only one chunk of them is held at once.
+    The first sweep of the values of f finds their window [lo, hi].  No
+    value is a prime outside it, so W sums over the primes of
+    [max(lo, 2), hi] alone and the integral is unchanged.  Indexed from lo,
+    every frequency of S and W is below hi - lo + 1, so for N at least that
+    discrete orthogonality of e(.) makes the Riemann sum exact.  S and W at
+    j/N are real FFTs of the value and prime histograms on the grid
+    lo, lo + 1, ..., with N the smallest 2^a 3^b 5^c >= hi - lo + 1, and the
+    sum over all N frequencies is folded from the half spectrum.  The result
+    is rounded to the nearest integer and a residual of 1e-6 or more raises
+    ArithmeticError.  The values of f are swept twice, for their window and
+    then for their histogram, so only one chunk of them is held at once.
     """
     ranges = box.lattice_ranges(P)
     extremes = [(int(v.min()), int(v.max())) for v in _lattice_values(f, ranges)]
     if not extremes:
         return 0
-    lo, hi = w_interval(f, box, P)
-    primes = primes_in_interval(max(lo, 2), hi)
     lows, highs = zip(*extremes)
-    m_max = max(max(highs), int(primes.max()) if len(primes) else 0)
-    shift = -min(min(lows), 0)
-    n_grid = m_max + shift + 1
-    if n_grid > SWEEP_BUDGET:
+    lo, hi = min(lows), max(highs)
+    if hi < 2:
+        return 0
+    if hi - lo + 1 > SWEEP_BUDGET:
         raise BudgetExceededError("orthogonality grid too large")
-    chunks = _lattice_values(f, ranges)
-    hist_v = np.bincount(next(chunks) + shift, minlength=n_grid)
-    for values in chunks:
-        hist_v += np.bincount(values + shift, minlength=n_grid)
-    hist_p = np.bincount(primes + shift, minlength=n_grid) if len(primes) else (
-        np.zeros(n_grid, dtype=np.int64)
-    )
-    # any length above the largest frequency keeps the identity exact; a
-    # 5-smooth length keeps pocketfft off its slow path for large prime
-    # factors.  Both histograms are real, so c_{N-j} = conj(c_j) for
-    # c_j = conj(W_j) S_j and the full sum is
+    # shifting both sums by lo multiplies S and W by the same unit e(-lo j/N),
+    # so their product is unchanged; a 5-smooth length keeps pocketfft off its
+    # slow path for large prime factors.  Both histograms are real, so
+    # c_{N-j} = conj(c_j) for c_j = conj(W_j) S_j and the full sum is
     # Re c_0 + 2 sum_{0<j<N/2} Re c_j + [N even] Re c_{N/2}, imaginary part 0
-    n_fft = _smooth_length(n_grid)
-    s_spec = np.fft.rfft(hist_v, n_fft)
-    w_spec = np.fft.rfft(hist_p, n_fft)
+    n_fft = _smooth_length(hi - lo + 1)
+    hist_v = np.zeros(n_fft)
+    for values in _lattice_values(f, ranges):
+        hist_v += np.bincount(values - lo, minlength=n_fft)
+    hist_p = np.zeros(n_fft)
+    for start, table in _segments(max(lo, 2), hi):
+        hist_p[start - lo : start - lo + len(table)] = table
+    s_spec = np.fft.rfft(hist_v)
+    w_spec = np.fft.rfft(hist_p)
     c = w_spec.real * s_spec.real + w_spec.imag * s_spec.imag
     half = (n_fft + 1) // 2
     total = c[0] + 2.0 * c[1:half].sum() + (c[half] if n_fft % 2 == 0 else 0.0)

@@ -71,8 +71,9 @@ def integrate_box(
     max_evaluations: int = 4_000_000,
 ) -> QuadratureResult:
     """Integrate a vectorised integrand over a box to absolute tolerance,
-    from ``pre_subdivisions`` cells per axis.  One cell past ``max_evaluations``
-    raises BudgetExceededError; the last round may pass it by two cells at most."""
+    from ``pre_subdivisions`` cells per axis, or the most that fit in
+    ``max_evaluations``.  One cell past ``max_evaluations`` raises
+    BudgetExceededError; the last round may pass it by two cells at most."""
     n = len(bounds)
     per_cell = _LOW_ORDER**n + _HIGH_ORDER**n
     if per_cell > max_evaluations:
@@ -80,6 +81,8 @@ def integrate_box(
             f"{per_cell} evaluations per cell exceed budget {max_evaluations}"
         )
     k = max(1, int(pre_subdivisions))
+    while k**n * per_cell > max_evaluations:
+        k -= 1
     edges = np.array([np.linspace(float(a), float(b), k + 1) for a, b in bounds])
     index = np.indices((k,) * n).reshape(n, -1).T
     axes = np.arange(n)

@@ -135,8 +135,9 @@ def test_squarefree_factor_counts_once():
 
 def test_circle_method_records_value_range_spans():
     """The circle-method job reads ``intervals.value_range_s`` from the range
-    calls of the oscillatory integral and of the W-interval; each must go
-    through a traced module attribute."""
+    calls of the oscillatory integral, which must go through a traced module
+    attribute.  The orthogonality count takes its window from the lattice
+    values and calls no range enclosure."""
     tracing = _load_tracing()
     tracer, patcher = tracing.Tracer(), tracing.Patcher()
     f = parse_polynomial("x1^2 + x2^2", 2)
@@ -156,4 +157,4 @@ def test_circle_method_records_value_range_spans():
         for rec in spans
         if rec["name"] == "intervals.value_range" and rec["parent"] is not None
     }
-    assert parents == {"integrals.oscillatory", "expsums.orthogonality"}
+    assert parents == {"integrals.oscillatory"}

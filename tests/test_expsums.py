@@ -261,6 +261,35 @@ class TestIdentityChecks:
         parities = {expsums._smooth_length(*c.args) % 2 for c in lengths.call_args_list}
         assert parities == {0, 1}
 
+    @pytest.mark.parametrize(
+        "text, n, axes, P, primes",
+        [
+            ("x1 + 1000", 1, [(2, 3)], 10, 1),
+            ("x1^2 + x2^2 + 1000", 2, [(1, 2), (1, 2)], 5, 6),
+            ("x1^2 + x2^2 - 7", 2, [(1, 2), (1, 2)], 3, 2),
+        ],
+    )
+    def test_orthogonality_with_constant_term(self, text, n, axes, P, primes):
+        # the W-interval [P^d min(f0) / 2, 2 P^d max(f0)] of the first two
+        # misses every value, which the constant shifts above it
+        from polydensity import count_values
+
+        f, box = parse_polynomial(text, n), Box(axes)
+        assert count_values(f, box, P, mode="prime").count == primes
+        assert orthogonality_count(f, box, P) == primes
+
+    def test_orthogonality_length_fits_value_window(self):
+        # the values fill [80000, 320000]; the W-interval [40000, 640000]
+        # took length 648000
+        f = parse_polynomial("x1^2 + x2^2", 2)
+        box = Box([(1, 2), (1, 2)])
+        with mock.patch.object(
+            expsums, "_smooth_length", wraps=expsums._smooth_length
+        ) as lengths:
+            assert orthogonality_count(f, box, 200) == 4242
+        assert [c.args for c in lengths.call_args_list] == [(240001,)]
+        assert expsums._smooth_length(240001) == 243000
+
     def test_orthogonality_memory_is_one_chunk(self):
         # 41^4 lattice values; held all at once they peaked at 64.7 MiB
         f = parse_polynomial("x1 + x2 + x3 + x4", 4)

@@ -132,6 +132,25 @@ class TestQuadrature:
             integrate_box(integrand, [(0.0, 1.0)] * 3, 1e-8, max_evaluations=1000)
         integrand.assert_not_called()
 
+    def test_first_grid_within_budget(self):
+        # 14^4 cells of 7^4 + 11^4 points would be 654685472 evaluations;
+        # the first grid shrinks to fit and the rounds refine within budget
+        budget, per_cell = 10**6, 7**4 + 11**4
+        evaluated = 0
+
+        def counted(g):
+            nonlocal evaluated
+            values = np.cos(40.0 * (g[0] + g[1] + g[2] + g[3]))
+            evaluated += values.size
+            assert evaluated <= budget + 2 * per_cell
+            return values
+
+        result = integrate_box(
+            counted, [(0.0, 1.0)] * 4, 1e-16, pre_subdivisions=14, max_evaluations=budget
+        )
+        assert result.evaluations == evaluated
+        assert result.evaluations <= budget + 2 * per_cell
+
 
 class TestBatchedRefinement:
     """The five circle-method integrals I(B; gamma) of x1^2 + x2^2 on

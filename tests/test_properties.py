@@ -964,14 +964,16 @@ def whole_box_integral(f0, box, gamma):
 
 @st.composite
 def orthogonality_cases(draw):
-    """(form, box, P): a positive form on a box inside [0, 3]^n, n <= 2,
-    at most one unit wide per axis, and P <= 40."""
+    """(f, box, P): a positive form plus a constant in [-30, 2000] on a box
+    inside [0, 3]^n, n <= 2, at most one unit wide per axis, and P <= 40.
+    The constant moves the values off the W-interval of the form."""
     text, n = draw(
         st.sampled_from(
             [("x1", 1), ("2x1^2", 1), ("x1^2 + x2^2", 2), ("x1^2 + x1x2 + 2x2^2", 2)]
         )
     )
-    f = parse_polynomial(text, n)
+    constant = draw(st.integers(-30, 2000))
+    f = parse_polynomial(f"{text} {'-' if constant < 0 else '+'} {abs(constant)}", n)
     axes = []
     for _ in range(f.n_vars):
         a = draw(st.fractions(0, 2, max_denominator=4))
@@ -1044,10 +1046,10 @@ class TestCircleMethodInvariants:
 
     @settings(deadline=None, max_examples=40)
     @given(orthogonality_cases())
-    @example((parse_polynomial("x1^2 + x2^2", 2), Box([(1, 2), (1, 2)]), 1))
+    @example((parse_polynomial("x1^2 + x2^2", 2), Box([(1, 2), (1, 2)]), 2))
     @example((parse_polynomial("x1", 1), Box([(2, 3)]), 10))
     def test_orthogonality_matches_direct_count(self, case):
-        # the examples take FFT lengths 15 (odd) and 60 (even)
+        # the examples take FFT lengths 25 (odd) and 12 (even)
         f, box, P = case
         direct = count_values(f, box, P, mode="prime").count
         assert orthogonality_count(f, box, P) == direct
