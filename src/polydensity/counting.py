@@ -23,9 +23,9 @@ the base primes up to the square root of its largest value) would cost
 more than testing each lattice value, or exceed ``TABLE_LIMIT``, each
 distinct value is tested instead; a prime verdict above
 ``MR_DETERMINISTIC_LIMIT`` is only probable and leaves its point
-undecided.  ``primes_upto``, ``primes_in_interval`` and ``squarefree_table``
-read unpacked tables, sieved in segments of ``_SEGMENT`` entries
-(``_segments``) from the same wheel, base primes and first hits.
+undecided.  The same writer makes every other table: the base primes of a
+window are read from the table of [0, sqrt(max |m|)], and ``primes_upto``,
+``primes_in_interval`` and ``squarefree_table`` unpack their tables.
 """
 
 from __future__ import annotations
@@ -157,89 +157,6 @@ def _tile(out: np.ndarray, pattern: np.ndarray, start: int) -> None:
     out[head + body :] = pattern[: n - head - body]
 
 
-def _base_primes(lo: int, hi: int) -> np.ndarray:
-    """The primes up to sqrt(max |m|) over [lo, hi].  They are sieved over
-    [0, sqrt(max |m|)], whose own base primes come from [0, its square
-    root], and so on down to [0, 3]."""
-    roots = [math.isqrt(max(abs(lo), abs(hi)))]
-    while roots[-1] > 3:
-        roots.append(math.isqrt(roots[-1]))
-    primes = np.empty(0, dtype=np.int64)
-    for root in reversed(roots):
-        primes = np.flatnonzero(_cross_out(0, root, primes, False))
-    return primes
-
-
-def _hits(
-    lo: int, primes: np.ndarray, squarefree: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(firsts, steps)`` of the base primes past the wheel: each crosses
-    out ``firsts + k * steps``, k >= 0, the multiples of p^2
-    (``squarefree``) or the multiples of p from p^2 on."""
-    primes = primes[primes > _WHEEL_PRIMES[-1]]
-    steps = primes * primes if squarefree else primes
-    firsts = lo + (-lo) % steps
-    if not squarefree:
-        firsts = np.maximum(firsts, steps * steps)
-    return firsts, steps
-
-
-def _cross_out(lo: int, hi: int, primes: np.ndarray, squarefree: bool) -> np.ndarray:
-    """Entries of [lo, hi] that survive crossing out, for every base prime p,
-    the multiples of p^2 (``squarefree``) or the multiples of p other than p.
-
-    The wheel primes are crossed out by copying their period (:func:`_wheel`)
-    into the table from offset ``lo`` mod the period, in place, so the table
-    is the only allocation.  Of the other primes, a step longer than the
-    window hits it at most once, so those are crossed out in one indexed
-    store; the loop runs over the rest only.
-    """
-    n = max(0, hi - lo + 1)
-    pattern = _wheel(squarefree)
-    table = np.empty(n, dtype=bool)
-    _tile(table, pattern, lo % len(pattern))
-    firsts, steps = _hits(lo, primes, squarefree)
-    if not squarefree:
-        table[: max(0, min(2 - lo, n))] = False
-        for p in _WHEEL_PRIMES:
-            if lo <= p <= hi:
-                table[p - lo] = True
-    loop = steps <= n
-    for first, step in zip(firsts[loop].tolist(), steps[loop].tolist()):
-        table[first - lo :: step] = False
-    once = firsts[~loop]
-    table[once[once <= hi] - lo] = False
-    return table
-
-
-#: entries of one unpacked table that ``_segments`` sieves at once
-_SEGMENT = 1 << 23
-
-
-def _segments(lo: int, hi: int, squarefree: bool = False):
-    """Membership tables of the window [lo, hi], one segment at a time, as
-    ``(start, table)`` with ``table[m - start]`` the verdict on m and at
-    most ``_SEGMENT`` entries a table.
-
-    An entry is True iff m is prime or, with ``squarefree``, iff m is
-    square-free (m and -m agree; 0 is not).
-    """
-    lo, hi = int(lo), int(hi)
-    primes = _base_primes(lo, hi)
-    for start in range(lo, hi + 1, _SEGMENT):
-        end = min(hi, start + _SEGMENT - 1)
-        yield start, _cross_out(start, end, primes, squarefree)
-
-
-def _members(lo: int, hi: int, squarefree: bool = False) -> np.ndarray:
-    """The members of [lo, hi] in the sense of :func:`_segments`, ascending."""
-    found = [
-        start + np.flatnonzero(table)
-        for start, table in _segments(lo, hi, squarefree)
-    ]
-    return np.concatenate([np.empty(0, dtype=np.int64), *found])
-
-
 def _clearing_masks(entries: np.ndarray) -> np.ndarray:
     """The byte masks that clear the bits of table entries ``entries``."""
     return (0xFF ^ 1 << (entries & 7)).astype(np.uint8)
@@ -259,11 +176,12 @@ def _packed_wheel(squarefree: bool, r: int) -> np.ndarray:
 
 
 def _sieve_bools(lo: int, hi: int, squarefree: bool = False) -> np.ndarray:
-    """Bit-packed membership table of the window [lo, hi] for ``count_values``.
+    """Bit-packed membership table of the window [lo, hi].
 
-    Bit ``(m - lo) & 7`` of byte ``(m - lo) >> 3`` is the verdict of
-    :func:`_segments` on m, so the table takes ``ceil((hi - lo + 1) / 8)``
-    bytes; the padding bits of the last byte are 0.
+    Bit ``(m - lo) & 7`` of byte ``(m - lo) >> 3`` is True iff m is prime
+    or, with ``squarefree``, iff m is square-free (m and -m agree; 0 is
+    not), so the table takes ``ceil((hi - lo + 1) / 8)`` bytes; the padding
+    bits of the last byte are 0.
 
     The table is sieved packed, from the packed wheel
     (:func:`_packed_wheel`) on.  A base prime's k-th hit and its (k + 8)-th
@@ -284,8 +202,14 @@ def _sieve_bools(lo: int, hi: int, squarefree: bool = False) -> np.ndarray:
     # the stream byte holding entry lo: 8 * start = lo - lo % share mod the period
     start = (lo - lo % share) // share * pow(8 // share, -1, len(stream)) % len(stream)
     _tile(bits, stream, start)
-    firsts, steps = _hits(lo, _base_primes(lo, hi), squarefree)
-    firsts -= lo
+    # the base primes p past the wheel, up to sqrt(max |m|) (none below 11),
+    # cross out the multiples of p^2 (squarefree) or of p from p^2 on
+    root = math.isqrt(max(abs(lo), abs(hi)))
+    primes = np.empty(0, dtype=np.int64)
+    if root > 10:
+        primes = primes_upto(root)[len(_WHEEL_PRIMES) :]
+    steps = primes * primes if squarefree else primes
+    firsts = -lo % steps if squarefree else np.maximum(-lo % steps, steps * steps - lo)
     strided = steps <= len(bits) // 16
     hits = firsts[strided, None] + np.arange(8) * steps[strided, None]
     for row, masks, step in zip(
@@ -317,23 +241,47 @@ def _sieve_bools(lo: int, hi: int, squarefree: bool = False) -> np.ndarray:
     return bits
 
 
+# perfbench/tracing.py wraps ``_sieve_bools`` as one span per count_values
+# table; the other tables, base primes included, take this name unwrapped
+_sieve = _sieve_bools
+
+#: the set bits of each byte value
+_BIT_COUNTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _set_entries(bits: np.ndarray, lo: int) -> np.ndarray:
+    """The members of the packed table ``bits`` of the window from ``lo``,
+    ascending, unpacked ``poly.RESIDUE_CHUNK`` entries at a time into an
+    exact-size array."""
+    out = np.empty(int(_BIT_COUNTS[bits].sum()), dtype=np.int64)
+    filled, step = 0, max(1, poly.RESIDUE_CHUNK // 8)
+    for start in range(0, len(bits), step):
+        unpacked = np.unpackbits(bits[start : start + step], bitorder="little")
+        members = np.flatnonzero(unpacked.view(bool))
+        del unpacked  # before the next slice is unpacked
+        members += lo + 8 * start
+        out[filled : filled + len(members)] = members
+        filled += len(members)
+    return out
+
+
 def primes_upto(n: int) -> np.ndarray:
     """Primes in [0, n], ascending."""
-    return _members(0, n)
+    return _set_entries(_sieve(0, n), 0)
 
 
 def primes_in_interval(lo: int, hi: int) -> np.ndarray:
-    """Primes in [lo, hi], ascending, by segmented sieve."""
+    """Primes in [lo, hi], ascending."""
     lo, hi = max(int(lo), 0), int(hi)
     if hi - lo > 10**9:
         raise BudgetExceededError("interval longer than 1e9")
-    return _members(lo, hi)
+    return _set_entries(_sieve(lo, hi), lo)
 
 
 def squarefree_table(limit: int) -> np.ndarray:
     """Boolean table: index m is True iff m is square-free (0 is not)."""
-    tables = [table for _, table in _segments(0, limit - 1, squarefree=True)]
-    return np.concatenate([np.empty(0, dtype=bool), *tables])
+    bits = _sieve(0, limit - 1, squarefree=True)
+    return np.unpackbits(bits, count=max(0, limit), bitorder="little").view(bool)
 
 
 @cache
@@ -646,17 +594,40 @@ def _orbit_chunks(ranges: list[range], group: list[tuple[int, ...]]):
                     yield [placed[v] for v in range(len(ranges))], weights
 
 
+def _weight_bound(N: int, k: int) -> int:
+    """A bound on the orbit weights ``k! / prod m_i!`` of ``k`` exchangeable
+    blocks of ``N`` points and on the int64 products ``_orbit_chunks``
+    builds them from, a prefix weight of j < k entries times j + 1: k times
+    the largest multinomial coefficient of k - 1 items over N parts."""
+    q, r = divmod(k - 1, N)
+    largest = math.factorial(k - 1) // (
+        math.factorial(q) ** (N - r) * math.factorial(q + 1) ** r
+    )
+    return k * largest
+
+
 def _weighted_count(mask: np.ndarray, weights: np.ndarray | None) -> int:
     """The points of ``mask``, each counted ``weights`` times (once when
-    None); the sum runs over the axes along which the weight varies."""
+    None); the sum runs over the axes along which the weight varies.  It is
+    an int64 sum while the largest weight times the points is below 2^63;
+    past that the high and low 32 bits of the weights are summed apart,
+    each exact for fewer than 2^31 points, and the total is a Python int."""
     if weights is None:
         return int(np.count_nonzero(mask))
     if (weights == weights.flat[0]).all():
         return int(weights.flat[0]) * int(np.count_nonzero(mask))
+    points = mask.size
     axes = tuple(i for i, w in enumerate(weights.shape) if w == 1)
     if axes:
         mask = np.count_nonzero(mask, axis=axes, keepdims=True)
-    return int((mask * weights).sum())
+    if int(weights.max()) * points < 2**63:
+        return int((mask * weights).sum())
+    half = weights >> 32
+    half *= mask
+    high = int(half.sum())
+    np.bitwise_and(weights, 0xFFFFFFFF, out=half)
+    half *= mask
+    return (high << 32) + int(half.sum())
 
 
 def _count_chunk(
@@ -752,7 +723,9 @@ def count_values(
     """Exact count of lattice points of P*box where f takes prime /
     square-free / jointly prime values.  ``LATTICE_BUDGET`` bounds the
     points evaluated: with ``k`` exchangeable blocks of ``N`` points folded,
-    ``comb(N + k - 1, k)`` orbits times the other variables' points."""
+    ``comb(N + k - 1, k)`` orbits times the other variables' points.  A fold
+    whose orbit weights may pass int64 (``_weight_bound``) is refused; the
+    count itself is an exact Python int."""
     polys = list(f) if isinstance(f, (list, tuple)) else [f]
     if mode not in ("prime", "squarefree", "joint"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -774,6 +747,10 @@ def count_values(
     if evaluated > LATTICE_BUDGET:
         raise BudgetExceededError(
             f"{evaluated} lattice points exceed budget {LATTICE_BUDGET}"
+        )
+    if group and _weight_bound(N, k) > np.iinfo(np.int64).max:
+        raise BudgetExceededError(
+            f"orbit weights of {k} exchangeable blocks of {N} points may pass int64"
         )
 
     squarefree = mode == "squarefree"

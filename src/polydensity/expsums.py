@@ -24,10 +24,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import BudgetExceededError, _members, _segments, primes_in_interval
+from .counting import (
+    BudgetExceededError,
+    _set_entries,
+    _sieve,
+    _value_window,
+    primes_in_interval,
+)
 from .intervals import value_range
 from .localcounts import residue_histogram
-from .poly import Box, MultiPoly, grid_chunks
+from .poly import RESIDUE_CHUNK, Box, MultiPoly, grid_chunks
+
+# W and Q take the lattice window, not value_range; the name stays bound
+# because perfbench/tracing.py wraps ``expsums.value_range``
+value_range = value_range
 
 #: most lattice points or grid entries one lattice sum or count sweeps
 SWEEP_BUDGET = 10**8
@@ -206,28 +216,6 @@ def _lattice_values(f: MultiPoly, ranges: list[range]):
         yield values
 
 
-def w_interval(f: MultiPoly, box: Box, P: int) -> tuple[int, int]:
-    """Prime support [P^d min(f0)/2, 2 P^d max(f0)] of the W-sum (outer
-    integer bounds from certified range enclosures)."""
-    f0 = f.top_degree_part()
-    lo, hi = value_range(f0, box)
-    d = f.degree
-    lo_int = math.floor(Fraction(lo) * P**d / 2)
-    hi_int = math.ceil(2 * Fraction(hi) * P**d)
-    return lo_int, hi_int
-
-
-def q_interval(f: MultiPoly, box: Box, P: int) -> tuple[int, int]:
-    """Square-free support [(min(f0)-1) P^d, (max(f0)+1) P^d] of the Q-sum."""
-    f0 = f.top_degree_part()
-    lo, hi = value_range(f0, box)
-    d = f.degree
-    return (
-        math.floor((Fraction(lo) - 1) * P**d),
-        math.ceil((Fraction(hi) + 1) * P**d),
-    )
-
-
 def s_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
     """S(alpha) = sum over Z^n intersect P*B of e(alpha f(x)).
 
@@ -255,8 +243,10 @@ def s_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
 
 
 def w_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
-    """W(alpha) = sum of e(alpha p) over primes p in the W-interval."""
-    lo, hi = w_interval(f, box, P)
+    """W(alpha) = sum of e(alpha p) over the primes p of the window [lo, hi]
+    that interval arithmetic certifies for the values of f on the lattice
+    points of P*B, the window ``counting.count_values`` sieves."""
+    lo, hi = _value_window(f, box.lattice_ranges(P), False)
     if hi - lo > INTERVAL_BUDGET:
         raise BudgetExceededError("W-interval too long")
     primes = primes_in_interval(max(lo, 2), hi)
@@ -265,15 +255,22 @@ def w_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
 
 def q_alpha_interval(lo: int, hi: int, alpha: float) -> complex:
     """Q(alpha) over an explicit integer interval of square-free m != 0
-    (m and -m agree); 0 for an interval holding no such m."""
+    (m and -m agree); 0 for an interval holding no such m.  The members
+    are summed ``RESIDUE_CHUNK`` table entries at a time."""
     if hi - lo > INTERVAL_BUDGET:
         raise BudgetExceededError("Q-interval too long")
-    ms = _members(lo, hi, squarefree=True)
-    return complex(np.sum(np.exp(2j * np.pi * alpha * ms.astype(np.float64))))
+    bits, step = _sieve(lo, hi, squarefree=True), RESIDUE_CHUNK // 8
+    total = 0j
+    for start in range(0, len(bits), step):
+        ms = _set_entries(bits[start : start + step], lo + 8 * start)
+        total += np.sum(np.exp(2j * np.pi * alpha * ms.astype(np.float64)))
+    return complex(total)
 
 
 def q_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
-    lo, hi = q_interval(f, box, P)
+    """Q(alpha) over the certified window of the lattice values of f, as
+    for :func:`w_alpha`."""
+    lo, hi = _value_window(f, box.lattice_ranges(P), False)
     return q_alpha_interval(lo, hi, alpha)
 
 
@@ -329,9 +326,11 @@ def orthogonality_count(f: MultiPoly, box: Box, P: int) -> int:
     hist_v = np.zeros(n_fft)
     for values in _lattice_values(f, ranges):
         hist_v += np.bincount(values - lo, minlength=n_fft)
+    start = max(lo, 2)
     hist_p = np.zeros(n_fft)
-    for start, table in _segments(max(lo, 2), hi):
-        hist_p[start - lo : start - lo + len(table)] = table
+    hist_p[start - lo : hi - lo + 1] = np.unpackbits(
+        _sieve(start, hi), count=hi - start + 1, bitorder="little"
+    )
     s_spec = np.fft.rfft(hist_v)
     w_spec = np.fft.rfft(hist_p)
     c = w_spec.real * s_spec.real + w_spec.imag * s_spec.imag

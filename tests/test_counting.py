@@ -105,19 +105,40 @@ class TestSieves:
             tracemalloc.stop()
         assert peak < bits.nbytes + 4 * 2**20
 
-    def test_trial_primes_built_once(self, monkeypatch):
-        calls = []
-        real = counting._segments
+    def test_primes_in_interval_memory(self):
+        # the 2e7-entry table is unpacked a slice at a time into an output
+        # sized from its set bits; a whole unpacked copy would take 20 MB
+        lo, hi = 10**8, 10**8 + 2 * 10**7 - 1
+        primes_in_interval(lo, lo + 10**4)
+        tracemalloc.start()
+        try:
+            primes = primes_in_interval(lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = -(-(hi - lo + 1) // 8)
+        # one slice: its unpacked bytes, and its members and those of the
+        # slice before, 8 bytes each at a density below 1/10
+        entries = poly.RESIDUE_CHUNK
+        one_slice = entries + 2 * 8 * (entries // 10)
+        assert len(primes) == sympy.primepi(hi) - sympy.primepi(lo - 1)
+        assert peak < primes.nbytes + table + one_slice
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+    def test_trial_primes_built_once(self, monkeypatch):
+        # one table of [0, 1e6], whose base primes take the tables of
+        # [0, 1000] and [0, 31]
+        calls = []
+        real = counting._sieve
+
+        def counted(lo, hi, squarefree=False):
+            calls.append((lo, hi))
+            return real(lo, hi, squarefree)
 
         counting._trial_primes.cache_clear()
-        monkeypatch.setattr(counting, "_segments", counted)
+        monkeypatch.setattr(counting, "_sieve", counted)
         for m in range(10**10, 4 * 10**10, 3 * 10**8):
             is_squarefree(m)
-        assert len(calls) <= 1
+        assert calls == [(0, 10**6), (0, 1000), (0, 31)]
 
 
 class TestSquarefree:
@@ -359,6 +380,42 @@ class TestCountValues:
             tracemalloc.stop()
         assert res.count == 553624
         assert peak < 16 * 2**20
+
+    def test_counts_past_int64(self):
+        # 25 biquadrates at P = 6: every orbit weight fits int64 (at most
+        # 2.2e17), but the total 1.1e20 does not; the exact count is a
+        # Python-int fold of the blocks' value multisets
+        n = 25
+        f = parse_polynomial(" + ".join(f"x{i}^4" for i in range(1, n + 1)), n)
+        res = count_values(f, Box([(1, 2)] * n), 6, mode="prime")
+        assert res.count == 112856165239315695625
+        # 40 squares at P = 2 stay below 2^63
+        n = 40
+        f = parse_polynomial(" + ".join(f"x{i}^2" for i in range(1, n + 1)), n)
+        res = count_values(f, Box([(1, 2)] * n), 2, mode="prime")
+        assert res.count == 1919327515972219640
+
+    def test_orbit_weights_past_int64_refused(self):
+        # one orbit weight of 45 squares at P = 2, 45! / (15!)^3 ~ 5.3e19,
+        # passes 2^63 by itself
+        n = 45
+        f = parse_polynomial(" + ".join(f"x{i}^2" for i in range(1, n + 1)), n)
+        with pytest.raises(BudgetExceededError, match="int64"):
+            count_values(f, Box([(1, 2)] * n), 2, mode="prime")
+
+    @pytest.mark.parametrize("k, N", [(2, 1), (3, 2), (5, 3), (7, 4), (9, 2)])
+    def test_weight_bound_holds_every_product(self, k, N):
+        # every orbit weight, and every product the rows build it from, of
+        # k blocks of N points is at most the bound
+        largest = 0
+        for t in itertools.combinations_with_replacement(range(N), k):
+            m = collections.Counter(t).values()
+            for j in range(1, k + 1):
+                prefix = collections.Counter(t[:j]).values()
+                weight = math.factorial(j) // math.prod(map(math.factorial, prefix))
+                largest = max(largest, weight * (j + 1 if j < k else 1))
+            largest = max(largest, math.factorial(k) // math.prod(map(math.factorial, m)))
+        assert largest <= counting._weight_bound(N, k)
 
     def test_budget_enforced(self):
         # about 5e11 orbits of (x1, x2)

@@ -16,6 +16,8 @@ from polydensity import (
     big_g_from_definition,
     complete_exp_sum,
     g_local,
+    is_prime,
+    is_squarefree,
     observatory_check,
     orthogonality_count,
     parse_polynomial,
@@ -207,19 +209,31 @@ class TestTrigPolys:
             s_alpha(f, Box([(1, 2)]), 10**4, 0.1)
 
     def test_w_at_zero_counts_primes(self):
-        # W-interval for P=2: [f0 min * 2^2 / 2, 2 * f0 max * 2^2] = [4, 64]
+        # the lattice values at P=2 lie in the certified window [8, 32]
         from polydensity import primes_in_interval
 
         got = w_alpha(self.f, self.box, 2, 0.0)
-        assert abs(got - len(primes_in_interval(4, 64))) < 1e-9
+        assert abs(got - len(primes_in_interval(8, 32))) < 1e-9
 
     def test_q_at_zero_counts_squarefree(self):
         from polydensity import squarefree_table
 
         got = q_alpha(self.f, self.box, 2, 0.0)
-        # interval [(2-1)*4, (8+1)*4] = [4, 36]
-        table = squarefree_table(37)
-        assert abs(got - int(table[4:37].sum())) < 1e-9
+        # the lattice values at P=2 lie in the certified window [8, 32]
+        table = squarefree_table(33)
+        assert abs(got - int(table[8:33].sum())) < 1e-9
+
+    def test_w_and_q_windows_follow_the_constant(self):
+        # x1 + 1000 on [2, 3] at P = 10 takes the values 1020..1030, which
+        # a window from the top-degree part x1 alone, [10, 60], misses
+        f = parse_polynomial("x1 + 1000", 1)
+        box = Box([(2, 3)])
+        values = range(1020, 1031)
+        alpha = 0.37
+        w = sum(cmath.exp(2j * math.pi * alpha * v) for v in values if is_prime(v))
+        q = sum(cmath.exp(2j * math.pi * alpha * v) for v in values if is_squarefree(v))
+        assert abs(w_alpha(f, box, 10, alpha) - w) < 1e-9
+        assert abs(q_alpha(f, box, 10, alpha) - q) < 1e-9
 
     def test_q_interval_signs_and_empty(self):
         from polydensity.expsums import q_alpha_interval
