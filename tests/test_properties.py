@@ -418,6 +418,27 @@ def lattice_boxes(draw, n):
     return Box(intervals), draw(st.integers(1, 2))
 
 
+def plain_crossing_out(lo, hi, squarefree):
+    """Prime or square-free table of [lo, hi] by crossing out multiples of
+    each prime p <= sqrt(max |m|) one at a time, padded with False to a
+    whole number of bytes as the packed sieve stores it."""
+    width = hi - lo
+    root = math.isqrt(max(abs(lo), abs(hi)))
+    expected = np.zeros(-(-(width + 1) // 8) * 8, dtype=bool)
+    expected[: width + 1] = True
+    for p in (p for p in range(2, root + 1) if is_prime(p)):
+        step = p * p if squarefree else p
+        first = lo + (-lo) % step
+        if not squarefree:
+            first = max(first, p * p)  # p itself is prime
+        expected[first - lo : width + 1 : step] = False
+    if squarefree and lo <= 0 <= hi:
+        expected[-lo] = False
+    if not squarefree:
+        expected[: max(0, min(2 - lo, width + 1))] = False
+    return expected
+
+
 class TestCountingInvariants:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(-50, 10**6), st.integers(0, 2000), st.booleans())
@@ -451,22 +472,44 @@ class TestCountingInvariants:
         assert np.flatnonzero(table).tolist() == [m - lo for m in expected]
         assert members.tolist() == expected
 
-    @settings(deadline=None, max_examples=80)
+    @settings(deadline=None, max_examples=40)
     @given(
         st.one_of(
             st.sampled_from([0, 1, 2, 7]),
+            st.integers(-(10**4), 10**9),
+            st.integers(10**8 - 10**6, 10**8 + 10**6),
+        ),
+        st.one_of(st.integers(44_101, 200_000), st.integers(10**5, 10**6)),
+        st.booleans(),
+    )
+    @example(0, 44_101, True)
+    @example(1, 88_203, False)
+    @example(2, 10**6 + 3, True)
+    @example(7, 10**5 + 1, False)
+    @example(10**8, 10**6 - 1, True)
+    @example(10**8 + 1, 10**5 + 6, False)
+    def test_packed_writer_matches_members(self, lo, width, squarefree):
+        # windows past one wheel period; near 10^8 the base primes fall on
+        # both sides of the split between strided ANDs and ufunc.at rounds.
+        # The unpacked table is 8 * len(bits) long, so padding bits must be 0
+        hi = lo + width - 1
+        bits = counting._sieve_bools(lo, hi, squarefree)
+        expected = plain_crossing_out(lo, hi, squarefree)
+        table = np.unpackbits(bits, bitorder="little")
+        assert len(bits) == -(-width // 8)
+        assert np.array_equal(table.view(bool), expected)
+        members = counting._set_entries(bits, lo)
+        assert np.array_equal(members, lo + np.flatnonzero(expected))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.one_of(
             st.integers(-(10**6), 10**6),
             st.builds(
                 lambda k, d: k * 44100 + d, st.integers(-20, 20), st.integers(-9, 9)
             ),
-            st.integers(-(10**4), 10**9),
-            st.integers(10**8 - 10**6, 10**8 + 10**6),
         ),
-        st.one_of(
-            st.integers(0, 300),
-            st.integers(44_100, 200_000),
-            st.integers(10**5, 10**6),
-        ),
+        st.one_of(st.integers(0, 300), st.integers(44101, 100000)),
         st.booleans(),
     )
     @example(-10, 20, False)
@@ -476,34 +519,11 @@ class TestCountingInvariants:
     @example(-50000, 100000, True)
     @example(0, 44099, True)
     @example(0, 0, True)
-    @example(0, 44_100, True)
-    @example(1, 88_202, False)
-    @example(2, 10**6 + 2, True)
-    @example(7, 10**5, False)
-    @example(10**8, 10**6 - 2, True)
-    @example(10**8 + 1, 10**5 + 5, False)
     def test_wheel_matches_plain_crossing_out(self, lo, width, squarefree):
-        # windows with negative lo and past one wheel period; near 10^8 the
-        # base primes fall on both sides of the split between strided ANDs
-        # and ufunc.at rounds.  The unpacked table is 8 * len(bits) long, so
-        # the padding bits must be 0
+        # windows with negative lo and across wheel period ends
         hi = lo + width
-        root = math.isqrt(max(abs(lo), abs(hi)))
-        primes = [p for p in range(2, root + 1) if is_prime(p)]
-        expected = np.zeros(-(-(width + 1) // 8) * 8, dtype=bool)
-        expected[: width + 1] = True
-        for p in primes:
-            step = p * p if squarefree else p
-            first = lo + (-lo) % step
-            if not squarefree:
-                first = max(first, p * p)  # p itself is prime
-            expected[first - lo : width + 1 : step] = False
-        if squarefree and lo <= 0 <= hi:
-            expected[-lo] = False
-        if not squarefree:
-            expected[: max(0, min(2 - lo, width + 1))] = False
         table = np.unpackbits(counting._sieve_bools(lo, hi, squarefree), bitorder="little")
-        assert np.array_equal(table.view(bool), expected)
+        assert np.array_equal(table.view(bool), plain_crossing_out(lo, hi, squarefree))
 
     @settings(deadline=None, max_examples=60)
     @given(
