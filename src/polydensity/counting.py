@@ -249,17 +249,25 @@ _sieve = _sieve_bools
 _BIT_COUNTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
-def _set_entries(bits: np.ndarray, lo: int) -> np.ndarray:
+def _member_slices(bits: np.ndarray, lo: int):
     """The members of the packed table ``bits`` of the window from ``lo``,
-    ascending, unpacked ``poly.RESIDUE_CHUNK`` entries at a time into an
-    exact-size array."""
-    out = np.empty(int(_BIT_COUNTS[bits].sum()), dtype=np.int64)
-    filled, step = 0, max(1, poly.RESIDUE_CHUNK // 8)
+    ascending, one array per ``poly.RESIDUE_CHUNK`` unpacked entries, so a
+    whole window is never unpacked at once."""
+    step = max(1, poly.RESIDUE_CHUNK // 8)
     for start in range(0, len(bits), step):
         unpacked = np.unpackbits(bits[start : start + step], bitorder="little")
         members = np.flatnonzero(unpacked.view(bool))
         del unpacked  # before the next slice is unpacked
         members += lo + 8 * start
+        yield members
+
+
+def _set_entries(bits: np.ndarray, lo: int) -> np.ndarray:
+    """The members of the packed table ``bits`` of the window from ``lo``,
+    ascending, in an exact-size array."""
+    out = np.empty(int(_BIT_COUNTS[bits].sum()), dtype=np.int64)
+    filled = 0
+    for members in _member_slices(bits, lo):
         out[filled : filled + len(members)] = members
         filled += len(members)
     return out
@@ -608,20 +616,17 @@ def _weight_bound(N: int, k: int) -> int:
 
 def _weighted_count(mask: np.ndarray, weights: np.ndarray | None) -> int:
     """The points of ``mask``, each counted ``weights`` times (once when
-    None); the sum runs over the axes along which the weight varies.  It is
-    an int64 sum while the largest weight times the points is below 2^63;
-    past that the high and low 32 bits of the weights are summed apart,
-    each exact for fewer than 2^31 points, and the total is a Python int."""
+    None); the sum runs over the axes along which the weight varies.  The
+    high and low 32 bits of the weights are summed apart, each exact in
+    int64 for fewer than 2^31 points, so the total is an exact Python int
+    past 2^63."""
     if weights is None:
         return int(np.count_nonzero(mask))
     if (weights == weights.flat[0]).all():
         return int(weights.flat[0]) * int(np.count_nonzero(mask))
-    points = mask.size
     axes = tuple(i for i, w in enumerate(weights.shape) if w == 1)
     if axes:
         mask = np.count_nonzero(mask, axis=axes, keepdims=True)
-    if int(weights.max()) * points < 2**63:
-        return int((mask * weights).sum())
     half = weights >> 32
     half *= mask
     high = int(half.sum())

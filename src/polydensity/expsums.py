@@ -26,14 +26,14 @@ import numpy as np
 
 from .counting import (
     BudgetExceededError,
-    _set_entries,
+    _member_slices,
     _sieve,
     _value_window,
     primes_in_interval,
 )
 from .intervals import value_range
 from .localcounts import residue_histogram
-from .poly import RESIDUE_CHUNK, Box, MultiPoly, grid_chunks
+from .poly import Box, MultiPoly, grid_chunks
 
 # W and Q take the lattice window, not value_range; the name stays bound
 # because perfbench/tracing.py wraps ``expsums.value_range``
@@ -243,9 +243,9 @@ def s_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
 
 
 def w_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
-    """W(alpha) = sum of e(alpha p) over the primes p of the window [lo, hi]
-    that interval arithmetic certifies for the values of f on the lattice
-    points of P*B, the window ``counting.count_values`` sieves."""
+    """W(alpha) = sum of e(alpha p) over the primes p of the signed window
+    [lo, hi] that interval arithmetic certifies for the values of f on the
+    lattice points of P*B."""
     lo, hi = _value_window(f, box.lattice_ranges(P), False)
     if hi - lo > INTERVAL_BUDGET:
         raise BudgetExceededError("W-interval too long")
@@ -256,20 +256,19 @@ def w_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
 def q_alpha_interval(lo: int, hi: int, alpha: float) -> complex:
     """Q(alpha) over an explicit integer interval of square-free m != 0
     (m and -m agree); 0 for an interval holding no such m.  The members
-    are summed ``RESIDUE_CHUNK`` table entries at a time."""
+    are summed one unpacked slice of the table at a time."""
     if hi - lo > INTERVAL_BUDGET:
         raise BudgetExceededError("Q-interval too long")
-    bits, step = _sieve(lo, hi, squarefree=True), RESIDUE_CHUNK // 8
     total = 0j
-    for start in range(0, len(bits), step):
-        ms = _set_entries(bits[start : start + step], lo + 8 * start)
+    for ms in _member_slices(_sieve(lo, hi, squarefree=True), lo):
         total += np.sum(np.exp(2j * np.pi * alpha * ms.astype(np.float64)))
     return complex(total)
 
 
 def q_alpha(f: MultiPoly, box: Box, P: int, alpha: float) -> complex:
-    """Q(alpha) over the certified window of the lattice values of f, as
-    for :func:`w_alpha`."""
+    """Q(alpha) over the square-free m of the signed window [lo, hi] that
+    interval arithmetic certifies for the values of f on the lattice points
+    of P*B."""
     lo, hi = _value_window(f, box.lattice_ranges(P), False)
     return q_alpha_interval(lo, hi, alpha)
 

@@ -460,17 +460,22 @@ class TestCountingInvariants:
     @example(3, 200, True)
     @example(0, 0, False)
     def test_segmented_sieve_matches_value_tests(self, lo, width, squarefree):
-        # the members are read 64 table entries at a time, across slice ends
+        # the members are read 64 table entries at a time, across slice ends,
+        # by _set_entries and by the Q sum alike
         hi = lo + width
         test = is_squarefree if squarefree else is_prime
         expected = [m for m in range(lo, hi + 1) if test(m)]
         bits = counting._sieve_bools(lo, hi, squarefree)
         with mock.patch.object(poly, "RESIDUE_CHUNK", 64):
             members = counting._set_entries(bits, lo)
+            q = expsums.q_alpha_interval(lo, hi, 0.1) if squarefree else 0j
         table = np.unpackbits(bits, bitorder="little")
         assert len(bits) == -(-(width + 1) // 8)
         assert np.flatnonzero(table).tolist() == [m - lo for m in expected]
         assert members.tolist() == expected
+        if squarefree:
+            want = sum(np.exp(2j * np.pi * 0.1 * m) for m in expected)
+            assert abs(q - want) < 1e-9 * (width + 1)
 
     @settings(deadline=None, max_examples=40)
     @given(
